@@ -65,7 +65,6 @@ from .s21 import (
     fit_resonance,
     inverse_s21_model,
     photon_number,
-    preprocess_sweep,
 )
 from .synth import (
     GroundTruth,
@@ -106,7 +105,6 @@ __all__ = [
     "fit_resonance",
     "inverse_s21_model",
     "photon_number",
-    "preprocess_sweep",
     # tls
     "PowerSweepPoint",
     "TlsFitResult",

@@ -187,9 +187,10 @@ def _cmd_fit_s21(config: RunConfig) -> int:
 
     results = []
     for path, sweep in zip(paths, sweeps):
-        fit, _, _ = calibrate_and_fit(sweep, delay=config.delay, baseline=config.baseline)
+        fit, delay, baseline = calibrate_and_fit(
+            sweep, delay=config.delay, baseline=config.baseline)
         n = photon_number(sweep.power, fit.f0, fit.q_i, fit.q_c)
-        results.append((path, sweep, fit, n))
+        results.append((path, sweep, fit, n, delay, baseline))
     results.sort(key=lambda item: item[3])
 
     out = Path(config.out)
@@ -214,8 +215,11 @@ def _cmd_fit_s21(config: RunConfig) -> int:
                 "photon_number": n,
                 "residual_rms": fit.residual_rms,
                 "converged": fit.converged,
+                "nfev": fit.nfev,
+                "delay_s": delay,
+                "baseline": [baseline.real, baseline.imag],
             }
-            for path, sweep, fit, n in results
+            for path, sweep, fit, n, delay, baseline in results
         ],
         **_provenance(paths),
     }
@@ -223,9 +227,9 @@ def _cmd_fit_s21(config: RunConfig) -> int:
 
     points = [
         PowerSweepPoint(photons=n, loss=fit.loss, loss_sigma=fit.loss_err)
-        for _, _, fit, n in results
+        for _, _, fit, n, *_ in results
     ]
-    f0_mean = float(np.mean([fit.f0 for _, _, fit, _ in results]))
+    f0_mean = float(np.mean([fit.f0 for _, _, fit, *_ in results]))
     temperature = results[0][1].temperature
     fileio.write_power_sweep(
         out / "power_sweep.csv", points, f0_mean, temperature,

@@ -77,9 +77,10 @@ def atomic_write_json(path: str | Path, obj) -> None:
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _parse_header_and_rows(text: str) -> tuple[dict[str, str], list[list[str]]]:
+def _split_header(text: str) -> tuple[dict[str, str], list[str]]:
+    """Metadata from ``# key = value`` lines, plus the other non-blank lines."""
     meta: dict[str, str] = {}
-    rows: list[list[str]] = []
+    lines: list[str] = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
@@ -90,8 +91,13 @@ def _parse_header_and_rows(text: str) -> tuple[dict[str, str], list[list[str]]]:
                 key, _, value = body.partition("=")
                 meta[key.strip()] = value.strip()
             continue
-        rows.append(next(csv.reader([line])))
-    return meta, rows
+        lines.append(line)
+    return meta, lines
+
+
+def _parse_header_and_rows(text: str) -> tuple[dict[str, str], list[list[str]]]:
+    meta, lines = _split_header(text)
+    return meta, [next(csv.reader([line])) for line in lines]
 
 
 def _meta_lines(meta: dict[str, str]) -> list[str]:
@@ -117,14 +123,14 @@ def write_sweep(path: str | Path, sweep: ComplexSweep, extra_meta: dict | None =
 
 
 def read_sweep(path: str | Path) -> ComplexSweep:
-    meta, rows = _parse_header_and_rows(Path(path).read_text(encoding="utf-8"))
+    meta, lines = _split_header(Path(path).read_text(encoding="utf-8"))
     if "power_dbm" not in meta or "temperature_K" not in meta:
         raise ValueError(f"{path}: missing power_dbm / temperature_K header")
-    if rows and rows[0] and rows[0][0].strip().lower().startswith("freq"):
-        rows = rows[1:]
-    if not rows:
+    if lines and lines[0].lower().startswith("freq"):
+        lines = lines[1:]
+    if not lines:
         raise ValueError(f"{path}: no data rows")
-    data = np.array([[float(c) for c in row[:3]] for row in rows])
+    data = np.loadtxt(lines, delimiter=",", usecols=(0, 1, 2), ndmin=2)
     return ComplexSweep(
         frequencies=data[:, 0],
         s21=data[:, 1] + 1j * data[:, 2],

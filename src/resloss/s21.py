@@ -1,16 +1,18 @@
-"""Complex transmission sweeps and the inverse-transmission resonance fit.
+"""Complex transmission sweeps and the joint calibration-resonance fit.
 
 A side-coupled resonator shows up in inverse transmission as
 
     1/S21(f) = 1 + (Q_i/Q_c) * exp(i*phi) / (1 + 2i*Q_i*(f - f0)/f0)
 
-which traces a circle of diameter Q_i/Q_c in the complex plane. Fitting is
-done in this inverse space: the circle geometry gives deterministic
-initial guesses and the internal loss 1/Q_i enters the model linearly.
+which traces a circle of diameter Q_i/Q_c in the complex plane. The
+circle geometry gives deterministic initial guesses. The fit itself is
+done in transmission space, where measurement noise is additive, with
+the cable delay and the complex baseline fitted alongside the resonance.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -83,9 +85,10 @@ class ResonatorFitResult:
     q_i_err: float
     q_c_err: float
     phi_err: float
-    residual_rms: float  # RMS of the complex inverse-transmission misfit
+    residual_rms: float  # RMS of the complex transmission misfit
     converged: bool
     n_points: int
+    nfev: int  # model evaluations of the solver
 
     @property
     def loss(self) -> float:
@@ -149,12 +152,14 @@ def _edge_mask(n: int) -> np.ndarray:
     return mask
 
 
-def _estimate_delay(f: np.ndarray, z: np.ndarray) -> float:
+def _estimate_delay(f: np.ndarray, z: np.ndarray, baseline: complex | None = None) -> float:
     """Cable delay from the off-resonant phase slope of the sweep edges.
 
     The estimate carries a small bias from the resonance phase tails,
-    which shrinks with the square of the span-to-linewidth ratio;
-    calibrate_and_fit removes the residual against the fitted model.
+    which shrinks with the square of the span-to-linewidth ratio; it only
+    seeds the joint fit, which removes the bias. A known baseline pins
+    the absolute phase, which fixes the delay modulo 1/f; the estimate is
+    then moved to the branch nearest the slope.
     """
     mask = _edge_mask(f.size)
     if np.count_nonzero(mask) < 4:
@@ -165,7 +170,11 @@ def _estimate_delay(f: np.ndarray, z: np.ndarray) -> float:
     fe = f[mask]
     fc = fe.mean()
     slope = np.polyfit(fe - fc, phase, 1)[0]
-    return -slope / TWO_PI
+    delay = -slope / TWO_PI
+    if baseline is not None:
+        offset = np.mean(z[mask] * np.exp(2j * math.pi * fe * delay)) / baseline
+        delay -= float(np.angle(offset)) / (TWO_PI * fc)
+    return delay
 
 
 def _estimate_baseline(f: np.ndarray, z: np.ndarray) -> complex:
@@ -180,90 +189,6 @@ def _estimate_baseline(f: np.ndarray, z: np.ndarray) -> complex:
     direction = np.mean(edges / np.abs(edges))
     phase = float(np.angle(direction)) if direction != 0 else 0.0
     return mag * complex(math.cos(phase), math.sin(phase))
-
-
-def preprocess_sweep(
-    sweep: ComplexSweep,
-    delay: float | None = None,
-    baseline: complex | None = None,
-) -> ComplexSweep:
-    """Remove the cable-delay phase ramp and the off-resonant baseline.
-
-    The raw trace is modeled as baseline * exp(-2i*pi*f*delay) * S21.
-    Missing arguments are estimated from the outer 10% of points: the
-    delay from their phase slope, the baseline from their mean magnitude
-    and phase after the delay is removed.
-    """
-    f = sweep.frequencies
-    z = sweep.s21
-    if delay is None:
-        delay = _estimate_delay(f, z)
-    z = z * np.exp(2j * math.pi * f * delay)
-    if baseline is None:
-        baseline = _estimate_baseline(f, z)
-    if baseline == 0:
-        raise ValueError("baseline must be nonzero")
-    return ComplexSweep(
-        frequencies=f,
-        s21=z / baseline,
-        power=sweep.power,
-        temperature=sweep.temperature,
-    )
-
-
-def calibrate_and_fit(
-    sweep: ComplexSweep,
-    delay: float | None = None,
-    baseline: complex | None = None,
-    max_refinements: int = 10,
-) -> tuple[ResonatorFitResult, float, complex]:
-    """Preprocess, fit, and refine the calibration against the fit.
-
-    Edge-based delay/baseline estimates are slightly contaminated by the
-    resonance tails, so after the first fit the data are normalized by
-    the fitted model and the residual delay and baseline are re-estimated
-    from the quasi-off-resonant part of the trace, where the ratio is
-    featureless. A few passes push the calibration error to the noise
-    floor. Returns (fit, total_delay, total_baseline).
-    """
-    f = sweep.frequencies
-    total_delay = delay if delay is not None else _estimate_delay(f, sweep.s21)
-    z = sweep.s21 * np.exp(2j * math.pi * f * total_delay)
-    total_baseline = baseline if baseline is not None else _estimate_baseline(f, z)
-    if total_baseline == 0:
-        raise ValueError("baseline must be nonzero")
-    z = z / total_baseline
-    prepared = ComplexSweep(f, z, sweep.power, sweep.temperature)
-    fit = fit_resonance(prepared)
-    refine = delay is None or baseline is None
-    for _ in range(max_refinements if refine else 0):
-        model = 1.0 / inverse_s21_model(f, fit.f0, fit.q_i, fit.q_c, fit.phi)
-        ratio = prepared.s21 / model
-        q_l = 1.0 / (1.0 / fit.q_i + 1.0 / fit.q_c)
-        detune = 2.0 * q_l * np.abs(f - fit.f0) / fit.f0
-        mask = detune > 2.0
-        if np.count_nonzero(mask) < 8:
-            mask = np.ones_like(mask)
-        phase = np.unwrap(np.angle(ratio))[mask]
-        fe = f[mask]
-        fc = fe.mean()
-        slope, intercept = np.polyfit(fe - fc, phase, 1)
-        d_delay = -slope / TWO_PI if delay is None else 0.0
-        if baseline is None:
-            # Constant phase of the residual dressing, referred back to f = 0.
-            phase0 = intercept + TWO_PI * fc * d_delay
-            mag = float(np.mean(np.abs(ratio[mask])))
-            d_base = mag * complex(math.cos(phase0), math.sin(phase0))
-        else:
-            d_base = 1.0
-        if abs(d_delay) * (f[-1] - f[0]) < 1e-13 and abs(d_base - 1.0) < 1e-13:
-            break
-        total_delay += d_delay
-        total_baseline *= d_base
-        z = z * np.exp(2j * math.pi * f * d_delay) / d_base
-        prepared = ComplexSweep(f, z, sweep.power, sweep.temperature)
-        fit = fit_resonance(prepared)
-    return fit, float(total_delay), complex(total_baseline)
 
 
 def _initial_guess(f: np.ndarray, z_inv: np.ndarray) -> tuple[float, float, float, float]:
@@ -310,59 +235,114 @@ def _model_and_jacobian(p, f):
     return model, (d_f0, d_qi, d_qc, d_phi)
 
 
+
+
 def fit_resonance(
     sweep: ComplexSweep,
     initial_guess: Mapping[str, float] | None = None,
 ) -> ResonatorFitResult:
-    """Fit a preprocessed sweep to the inverse-transmission circle model.
+    """Fit a calibrated sweep (no cable delay, unit baseline).
 
-    Nonlinear least squares on the stacked real and imaginary parts of
-    the inverse-transmission residual, seeded by the magnitude dip, the
-    resonance width and an algebraic circle fit. Uncertainties come from
-    the Jacobian-based covariance at the optimum, scaled by the residual
-    variance.
+    The same solve as calibrate_and_fit with the calibration fixed at
+    delay 0 and baseline 1. ``initial_guess`` may override any of the
+    starting values f0, q_i, q_c and phi.
+    """
+    return _joint_fit(sweep, 0.0, 1.0 + 0.0j, initial_guess)[0]
+
+
+def calibrate_and_fit(
+    sweep: ComplexSweep,
+    delay: float | None = None,
+    baseline: complex | None = None,
+) -> tuple[ResonatorFitResult, float, complex]:
+    """Fit the resonance and the calibration of a raw sweep in one solve.
+
+    The raw trace is modeled as baseline * exp(-2i*pi*f*delay) * S21.
+    A delay or baseline passed in is held fixed; the others are fitted
+    together with f0, Q_i, Q_c and phi, seeded from the phase slope and
+    mean level of the outer 10% of points. Returns
+    (fit, delay, baseline).
 
     Raises FitFailureError when no resonance feature is present or the
     iteration cap is hit (carrying the best iterate), and OutOfSpanError
     when the resonance converges onto the edge of the swept range.
     """
-    f = sweep.frequencies
-    s21 = sweep.s21
-    if np.any(s21 == 0):
-        raise FitFailureError("transmission contains exact zeros; cannot invert")
-    z = 1.0 / s21
+    return _joint_fit(sweep, delay, baseline, None)
 
-    dist = np.abs(z - 1.0)
+
+def _joint_fit(sweep, delay, baseline, initial_guess):
+    """One least-squares solve in transmission space.
+
+    The residual is the complex misfit of the dressed model to the raw
+    trace, where additive noise is white, so the fit is maximum
+    likelihood for it. Free parameters: f0, q_i, q_c, phi, then the delay
+    and ln(baseline) (real and imaginary part) unless fixed. The
+    covariance covers all of them, so the quoted resonance errors include
+    the calibration uncertainty.
+    """
+    f = sweep.frequencies
+    z = sweep.s21
+    if baseline is not None and baseline == 0:
+        raise ValueError("baseline must be nonzero")
+    if np.any(z == 0):
+        raise FitFailureError("transmission contains exact zeros; cannot invert")
+    delay_0 = _estimate_delay(f, z, baseline) if delay is None else float(delay)
+    z_cal = z * np.exp(2j * math.pi * f * delay_0)
+    baseline_0 = _estimate_baseline(f, z_cal) if baseline is None else complex(baseline)
+    z_inv = baseline_0 / z_cal
+
+    dist = np.abs(z_inv - 1.0)
     spread = float(dist.max() - dist.min())
-    if spread < 1e-6 * max(1.0, float(np.median(np.abs(z)))):
+    if spread < 1e-6 * max(1.0, float(np.median(np.abs(z_inv)))):
         raise FitFailureError("no resonance feature detected in the sweep")
 
-    f0_0, qi_0, qc_0, phi_0 = _initial_guess(f, z)
+    f0_0, qi_0, qc_0, phi_0 = _initial_guess(f, z_inv)
     if initial_guess:
         f0_0 = float(initial_guess.get("f0", f0_0))
         qi_0 = float(initial_guess.get("q_i", qi_0))
         qc_0 = float(initial_guess.get("q_c", qc_0))
         phi_0 = float(initial_guess.get("phi", phi_0))
-    f0_0 = min(max(f0_0, float(f[0])), float(f[-1]))
-    qi_0 = min(max(qi_0, 1.0), 1e12)
-    qc_0 = min(max(qc_0, 1.0), 1e12)
-    phi_0 = min(max(phi_0, -math.pi), math.pi)
+    p0 = [
+        min(max(f0_0, float(f[0])), float(f[-1])),
+        min(max(qi_0, 1.0), 1e12),
+        min(max(qc_0, 1.0), 1e12),
+        min(max(phi_0, -math.pi), math.pi),
+    ]
+    lower = [f[0], 1.0, 1.0, -math.pi]
+    upper = [f[-1], 1e12, 1e12, math.pi]
+    if delay is None:
+        p0.append(delay_0)
+    if baseline is None:
+        p0 += [math.log(abs(baseline_0)), cmath.phase(baseline_0)]
+    lower += [-np.inf] * (len(p0) - 4)
+    upper += [np.inf] * (len(p0) - 4)
+
+    def calibration(p):
+        tau = p[4] if delay is None else delay_0
+        b = cmath.exp(complex(p[-2], p[-1])) if baseline is None else baseline_0
+        return tau, b
+
+    def dressed_model(p):
+        tau, b = calibration(p)
+        inv, grads = _model_and_jacobian(p[:4], f)
+        return b * np.exp(-2j * math.pi * f * tau) / inv, inv, grads
 
     def residuals(p):
-        model, _ = _model_and_jacobian(p, f)
-        diff = model - z
+        diff = dressed_model(p)[0] - z
         return np.concatenate([diff.real, diff.imag])
 
     def jacobian(p):
-        _, grads = _model_and_jacobian(p, f)
-        cols = [np.concatenate([g.real, g.imag]) for g in grads]
-        return np.column_stack(cols)
+        s, inv, grads = dressed_model(p)
+        cols = [-s / inv * g for g in grads]
+        if delay is None:
+            cols.append(-2j * math.pi * f * s)
+        if baseline is None:
+            cols += [s, 1j * s]
+        return np.column_stack([np.concatenate([c.real, c.imag]) for c in cols])
 
-    lower = [f[0], 1.0, 1.0, -math.pi]
-    upper = [f[-1], 1e12, 1e12, math.pi]
     res = least_squares(
         residuals,
-        np.array([f0_0, qi_0, qc_0, phi_0]),
+        np.array(p0),
         jac=jacobian,
         bounds=(lower, upper),
         method="trf",
@@ -373,7 +353,7 @@ def fit_resonance(
         max_nfev=_MAX_ITER,
     )
 
-    result = _build_result(res, f)
+    result = _build_result(res, f.size)
     if not res.success:
         raise FitFailureError(
             "resonance fit did not converge within the iteration cap", best=result
@@ -384,16 +364,20 @@ def fit_resonance(
             f"fitted resonance {result.f0:.6g} Hz sits at the edge of the "
             f"swept range [{f[0]:.6g}, {f[-1]:.6g}] Hz"
         )
-    return result
+    tau, b = calibration(res.x)
+    return result, float(tau), complex(b)
 
 
-def _build_result(res, f) -> ResonatorFitResult:
-    m = res.fun.size
-    dof = max(m - 4, 1)
+def _build_result(res, n: int) -> ResonatorFitResult:
+    # Columns are normalized before the inversion: f0 and the delay sit
+    # many decades away from the dimensionless parameters.
+    norms = np.linalg.norm(res.jac, axis=0)
+    norms[norms == 0.0] = 1.0
+    scaled = res.jac / norms
+    dof = max(res.fun.size - res.x.size, 1)
     s2 = 2.0 * res.cost / dof
-    cov = np.linalg.pinv(res.jac.T @ res.jac) * s2
+    cov = np.linalg.pinv(scaled.T @ scaled) / np.outer(norms, norms) * s2
     err = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    n = f.size
     return ResonatorFitResult(
         f0=float(res.x[0]),
         q_i=float(res.x[1]),
@@ -406,4 +390,5 @@ def _build_result(res, f) -> ResonatorFitResult:
         residual_rms=float(np.sqrt(2.0 * res.cost / n)),
         converged=bool(res.success),
         n_points=n,
+        nfev=int(res.nfev),
     )

@@ -15,6 +15,7 @@ fixtures. Stream i is sweep i; stream 2**32 is the power-sweep noise.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,11 @@ class GroundTruth:
             raise ValueError("noise levels must be >= 0")
         if len(self.powers) == 0 or any(p <= 0.0 for p in self.powers):
             raise ValueError("powers must be a non-empty list of positive watts")
+        if not isinstance(self.baseline, numbers.Complex):
+            raise ValueError(f"baseline must be a complex scalar, got {self.baseline!r}")
         if self.baseline == 0:
             raise ValueError("baseline must be nonzero")
+        object.__setattr__(self, "baseline", complex(self.baseline))
         object.__setattr__(self, "powers", tuple(float(p) for p in self.powers))
 
     @property

@@ -257,7 +257,8 @@ def fit_power_sweep(
             gtol=_FTOL,
             max_nfev=_MAX_ITER * (len(p0) + 1),
         )
-        if res is None or attempt.cost < res.cost:
+        # A converged attempt beats any non-converged one, whatever its cost.
+        if res is None or (attempt.success, -attempt.cost) > (res.success, -res.cost):
             res = attempt
         if res.success and res.cost <= 1e-24:
             break

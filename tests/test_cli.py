@@ -79,6 +79,14 @@ class TestPipeline:
         assert report["photon_convention"]
         photons = [r["photon_number"] for r in report["results"]]
         assert photons == sorted(photons)
+        for result in report["results"]:
+            assert result["nfev"] >= 1
+            assert isinstance(result["delay_s"], float)
+            assert len(result["baseline"]) == 2
+        rerun_dir = tmp_path / "fits_rerun"
+        assert run("fit-s21", "--input", synth_dir, "--out", rerun_dir) == EXIT_OK
+        for name in ("fit_s21.json", "power_sweep.csv"):
+            assert (rerun_dir / name).read_bytes() == (fits_dir / name).read_bytes()
 
         assert run("fit-tls", "--input", fits_dir / "power_sweep.csv",
                    "--out", tls_dir) == EXIT_OK

@@ -15,7 +15,6 @@ from resloss import (
     generate_s21_sweep,
     inverse_s21_model,
     photon_number,
-    preprocess_sweep,
 )
 
 
@@ -91,18 +90,26 @@ class TestPhotonNumber:
 
 
 class TestPreprocess:
+    """Delay and baseline removal, explicit or estimated, in calibrate_and_fit."""
+
     def test_clean_sweep_unchanged(self):
-        sweep = model_sweep(4.5e9, 1e5, 5e4, 0.1)
-        out = preprocess_sweep(sweep, delay=0.0, baseline=1.0 + 0.0j)
-        assert np.max(np.abs(out.s21 - sweep.s21)) < 1e-12
+        f0, q_i, q_c, phi = 4.5e9, 1e5, 5e4, 0.1
+        sweep = model_sweep(f0, q_i, q_c, phi)
+        fit, delay, baseline = calibrate_and_fit(sweep, delay=0.0, baseline=1.0 + 0.0j)
+        assert (delay, baseline) == (0.0, 1.0 + 0.0j)
+        assert fit == fit_resonance(sweep)
+        assert fit.q_i == pytest.approx(q_i, rel=1e-9)
 
     def test_explicit_inverse_round_trip(self):
         truth = resonator_truth(1.19e5, delay=40e-9, baseline=0.8 * np.exp(0.3j))
-        dressed = generate_s21_sweep(truth, 0)
-        out = preprocess_sweep(dressed, delay=40e-9, baseline=0.8 * np.exp(0.3j))
-        clean = model_sweep(truth.f0, 1.19e5, truth.q_c, truth.phi,
-                            n_points=truth.n_points)
-        assert np.max(np.abs(out.s21 - clean.s21)) < 1e-12
+        fit, delay, baseline = calibrate_and_fit(
+            generate_s21_sweep(truth, 0), delay=40e-9, baseline=0.8 * np.exp(0.3j))
+        assert delay == 40e-9
+        assert baseline == 0.8 * np.exp(0.3j)
+        assert fit.f0 == pytest.approx(truth.f0, rel=1e-12)
+        assert fit.q_i == pytest.approx(1.19e5, rel=1e-9)
+        assert fit.q_c == pytest.approx(truth.q_c, rel=1e-9)
+        assert fit.residual_rms < 1e-12
 
     def test_auto_estimation_recovers_delay(self):
         # shallow resonance, wide span: tail bias well below 1%
@@ -117,34 +124,31 @@ class TestPreprocess:
     def test_auto_estimation_leaves_flat_baseline(self):
         truth = resonator_truth(1e5, q_c=1e6, span_linewidths=80, n_points=2001,
                                 delay=40e-9, baseline=1.2 * np.exp(-0.4j))
-        out = preprocess_sweep(generate_s21_sweep(truth, 0))
-        edges = np.r_[out.s21[:100], out.s21[-100:]]
-        assert abs(np.mean(np.abs(edges)) - 1.0) < 1e-3
+        fit, delay, baseline = calibrate_and_fit(generate_s21_sweep(truth, 0))
+        assert delay == pytest.approx(40e-9, rel=1e-9)
+        assert baseline == pytest.approx(1.2 * np.exp(-0.4j), rel=1e-9)
+        assert fit.q_i == pytest.approx(1e5, rel=1e-9)
 
     def test_partial_arguments_estimate_the_rest(self):
+        true_baseline = 1.2 * np.exp(-0.4j)
         truth = resonator_truth(1e5, q_c=1e6, span_linewidths=80, n_points=2001,
-                                delay=40e-9, baseline=1.2 * np.exp(-0.4j))
+                                delay=40e-9, baseline=true_baseline)
         dressed = generate_s21_sweep(truth, 0)
 
-        def edge_level(sweep):
-            edges = np.r_[sweep.s21[:100], sweep.s21[-100:]]
-            return abs(float(np.mean(np.abs(edges))) - 1.0)
+        fit, delay, baseline = calibrate_and_fit(dressed, delay=40e-9)
+        assert delay == 40e-9
+        assert baseline == pytest.approx(true_baseline, rel=1e-9)
+        assert fit.q_i == pytest.approx(1e5, rel=1e-9)
 
-        only_delay = preprocess_sweep(dressed, delay=40e-9)
-        assert edge_level(only_delay) < 1e-9
-        only_baseline = preprocess_sweep(dressed, baseline=1.2 * np.exp(-0.4j))
-        assert edge_level(only_baseline) < 1e-3
-
-    def test_metadata_preserved(self):
-        sweep = model_sweep(4.5e9, 1e5, 5e4, 0.1, power=3e-16, temperature=0.05)
-        out = preprocess_sweep(sweep, delay=1e-9, baseline=1.1 + 0.0j)
-        assert out.power == 3e-16
-        assert out.temperature == 0.05
+        fit, delay, baseline = calibrate_and_fit(dressed, baseline=true_baseline)
+        assert delay == pytest.approx(40e-9, rel=1e-9)
+        assert baseline == true_baseline
+        assert fit.q_i == pytest.approx(1e5, rel=1e-9)
 
     def test_zero_baseline_rejected(self):
         sweep = model_sweep(4.5e9, 1e5, 5e4, 0.1)
         with pytest.raises(ValueError):
-            preprocess_sweep(sweep, delay=0.0, baseline=0.0)
+            calibrate_and_fit(sweep, delay=0.0, baseline=0.0)
 
 
 class TestFitResonance:
@@ -223,6 +227,18 @@ class TestCalibrateAndFit:
         assert baseline == pytest.approx(0.8 * np.exp(0.3j), rel=1e-9)
         assert fit.q_i == pytest.approx(q_i, rel=1e-9)
 
+    @pytest.mark.parametrize("q_i", [1.8e3, 3.2e4, 1.19e5])
+    def test_q_i_pull(self, q_i):
+        # Under- to strongly overcoupled, with the calibration fitted too:
+        # the quoted Q_i error must match the scatter over seeds.
+        pulls = []
+        for seed in range(100):
+            truth = resonator_truth(q_i, q_c=3e3, delay=50e-9, baseline=0.8 + 0.3j,
+                                    s21_sigma=1e-3, seed=seed)
+            fit, _, _ = calibrate_and_fit(generate_s21_sweep(truth, 0))
+            pulls.append((fit.q_i - q_i) / fit.q_i_err)
+        assert 0.8 <= float(np.std(pulls)) <= 1.25
+
     def test_explicit_calibration_skips_refinement(self):
         q_i = 1.19e5
         truth = resonator_truth(q_i, n_points=501, delay=25e-9)
@@ -243,9 +259,10 @@ class TestEdgeEstimation:
         mask = _edge_mask(16)
         assert np.count_nonzero(mask) >= 4  # 16-point sweeps stay estimable
         sweep = ComplexSweep(f, z, 1e-15, 0.1)
-        out = preprocess_sweep(sweep)  # no resonance, but estimable
         assert abs(_estimate_delay(f, z) - 10e-9) / 10e-9 < 1e-6
-        assert np.max(np.abs(out.s21 - 1.0)) < 1e-9
+        # estimable: the calibrated trace is flat, so the fit finds no feature
+        with pytest.raises(FitFailureError, match="no resonance feature"):
+            calibrate_and_fit(sweep)
 
     def test_too_few_points_raises(self):
         from resloss.s21 import _estimate_delay

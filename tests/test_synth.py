@@ -24,6 +24,13 @@ class TestGroundTruth:
         with pytest.raises(ValueError):
             resonator_truth(1e5, power=-1e-15)
 
+    def test_baseline_must_be_a_complex_scalar(self):
+        with pytest.raises(ValueError, match="complex scalar"):
+            resonator_truth(1e5, baseline=[1.0, 0.0])
+        with pytest.raises(ValueError, match="nonzero"):
+            resonator_truth(1e5, baseline=0.0)
+        assert resonator_truth(1e5, baseline=np.complex128(0.8 + 0.3j)).baseline == 0.8 + 0.3j
+
     def test_tls_params_view(self):
         truth = device_a_truth()
         params = truth.tls_params

@@ -203,3 +203,28 @@ class TestFitPowerSweep:
         pts = sweep_points(p, np.geomspace(1.0, 10.0, 8))
         with pytest.raises(ValueError):
             fit_power_sweep(pts, OMEGA_A, 0.1)
+
+    def test_converged_restart_beats_lower_cost_failure(self, monkeypatch):
+        import resloss.tls as tls_module
+
+        real = tls_module.least_squares
+        attempts = []
+
+        def scripted(*args, **kwargs):
+            res = real(*args, **kwargs)
+            if attempts:  # every restart after the first fails, at a lower cost
+                res.success = False
+                res.cost = 0.0
+            attempts.append(res)
+            return res
+
+        monkeypatch.setattr(tls_module, "least_squares", scripted)
+        p = params()
+        n = np.geomspace(1e-2, 1e4, 25)
+        rng = np.random.Generator(np.random.Philox(key=np.array([5, 5], dtype=np.uint64)))
+        noisy = total_loss(n, p) * (1.0 + 0.02 * rng.standard_normal(n.size))
+        pts = [PowerSweepPoint(float(x), float(y)) for x, y in zip(n, noisy)]
+        fit = fit_power_sweep(pts, OMEGA_A, 0.1)
+        assert len(attempts) >= 2
+        assert attempts[0].success
+        assert fit.params.f_tan_delta0 == attempts[0].x[0]
