@@ -21,14 +21,12 @@ from .circuit import (
     capacitance_from_frequency,
     fit_arm_scaling,
     fit_lc,
-    participation_ratios,
     resonance_frequency,
 )
 from .error_analysis import (
     AXIS_INDUCTOR_LOSS,
     AXIS_PARTICIPATION,
     ErrorMap,
-    ErrorRegimePoint,
     error_map,
     log_grid,
     measurable,
@@ -41,7 +39,6 @@ from .errors import (
     IllConditionedFitError,
     InconsistentInputsError,
     InfeasibleGeometryError,
-    InsufficientBaselineError,
     InvalidModelError,
     NonphysicalFitError,
     OutOfSpanError,
@@ -52,8 +49,6 @@ from .extraction import (
     ExtractionInput,
     ExtractionResult,
     extract,
-    idc_loss_proxy,
-    single_measurement_estimate,
     solve_inductor_loss,
     solve_ppc_loss,
 )
@@ -77,7 +72,6 @@ from .tls import (
     TlsFitResult,
     TlsLossParams,
     fit_power_sweep,
-    loss_at_zero,
     thermal_factor,
     tls_loss,
     total_loss,
@@ -95,7 +89,6 @@ __all__ = [
     "capacitance_from_frequency",
     "fit_arm_scaling",
     "fit_lc",
-    "participation_ratios",
     "resonance_frequency",
     # s21
     "ComplexSweep",
@@ -110,7 +103,6 @@ __all__ = [
     "TlsFitResult",
     "TlsLossParams",
     "fit_power_sweep",
-    "loss_at_zero",
     "thermal_factor",
     "tls_loss",
     "total_loss",
@@ -118,15 +110,12 @@ __all__ = [
     "ExtractionInput",
     "ExtractionResult",
     "extract",
-    "idc_loss_proxy",
-    "single_measurement_estimate",
     "solve_inductor_loss",
     "solve_ppc_loss",
     # error analysis
     "AXIS_INDUCTOR_LOSS",
     "AXIS_PARTICIPATION",
     "ErrorMap",
-    "ErrorRegimePoint",
     "error_map",
     "log_grid",
     "measurable",
@@ -143,7 +132,6 @@ __all__ = [
     "InfeasibleGeometryError",
     "UnderdeterminedError",
     "NonphysicalFitError",
-    "InsufficientBaselineError",
     "FitFailureError",
     "OutOfSpanError",
     "IllConditionedFitError",

@@ -241,8 +241,3 @@ def fit_arm_scaling(rows: Sequence[tuple[int, float, float]]) -> ArmScalingModel
     for n_val in (int(n.min()), int(n.max())):
         arm_scaling_eval(scaling, n_val)
     return scaling
-
-
-def participation_ratios(model: DeviceCircuitModel) -> tuple[float, float]:
-    """(capacitor, inductor) fractions of the total resonator capacitance."""
-    return model.capacitor_participation, model.inductor_participation

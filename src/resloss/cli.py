@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -30,7 +29,6 @@ from .errors import (
     GridRangeError,
     IllConditionedFitError,
     InconsistentInputsError,
-    InsufficientBaselineError,
     OutOfSpanError,
     ReslossError,
 )
@@ -44,28 +42,9 @@ EXIT_FIT = 3
 EXIT_EXTRACTION = 4
 EXIT_RANGE = 5
 
-_FIT_ERRORS = (FitFailureError, IllConditionedFitError, OutOfSpanError,
-               InsufficientBaselineError)
+_FIT_ERRORS = (FitFailureError, IllConditionedFitError, OutOfSpanError)
 
 PHOTON_CONVENTION = "side-coupled: n = 2*Q_l^2*P / (Q_c*hbar*omega0^2)"
-
-
-@dataclass
-class RunConfig:
-    command: str
-    inputs: list[str] = field(default_factory=list)
-    out: str = "."
-    beta: str = "fixed"
-    threshold: float = 0.1
-    seed: int | None = None
-    grid: str | None = None
-    axis: str = error_analysis.AXIS_INDUCTOR_LOSS
-    curves: list[float] | None = None
-    fixed: float | None = None
-    delay: float | None = None
-    baseline: complex | None = None
-    # per-device TLS fit reports supplying the losses for `extract`
-    fit_reports: dict[str, str] = field(default_factory=dict)
 
 
 def _bundled_fixture(name: str) -> Path | None:
@@ -127,17 +106,19 @@ def _parse_grid(spec: str) -> np.ndarray:
 # commands
 
 
-def _cmd_synth(config: RunConfig) -> int:
-    if config.inputs:
-        truth_path = _resolve_input(config.inputs[0])
+def _cmd_synth(args: argparse.Namespace) -> int:
+    if args.input:
+        truth_path = _resolve_input(args.input[0])
         doc = json.loads(truth_path.read_text(encoding="utf-8"))
         provenance = _provenance([truth_path])
     else:
         doc = _DEFAULT_TRUTH.copy()
         provenance = {"tool_version": __version__, "input_files": [{"path": "builtin:default-truth"}]}
-    if config.seed is not None:
-        doc["seed"] = config.seed
+    if args.seed is not None:
+        doc["seed"] = args.seed
     baseline = doc.get("baseline", [1.0, 0.0])
+    if not (isinstance(baseline, list) and len(baseline) == 2):
+        raise ValueError(f"truth baseline must be [re, im], got {baseline!r}")
     truth = synth.GroundTruth(
         f0=float(doc["f0"]),
         q_c=float(doc["q_c"]),
@@ -157,7 +138,7 @@ def _cmd_synth(config: RunConfig) -> int:
         seed=int(doc.get("seed", 0)),
     )
 
-    out = Path(config.out)
+    out = Path(args.out)
     sweep_files = []
     for i in range(len(truth.powers)):
         sweep = synth.generate_s21_sweep(truth, i)
@@ -181,19 +162,23 @@ def _cmd_synth(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_fit_s21(config: RunConfig) -> int:
-    paths = _expand_sweep_inputs(config.inputs)
+def _cmd_fit_s21(args: argparse.Namespace) -> int:
+    fixed_baseline = None
+    if args.baseline:
+        re_s, _, im_s = args.baseline.partition(",")
+        fixed_baseline = complex(float(re_s), float(im_s or 0.0))
+    paths = _expand_sweep_inputs(args.input)
     sweeps = [fileio.read_sweep(p) for p in paths]  # parse everything first
 
     results = []
     for path, sweep in zip(paths, sweeps):
         fit, delay, baseline = calibrate_and_fit(
-            sweep, delay=config.delay, baseline=config.baseline)
+            sweep, delay=args.delay, baseline=fixed_baseline)
         n = photon_number(sweep.power, fit.f0, fit.q_i, fit.q_c)
         results.append((path, sweep, fit, n, delay, baseline))
     results.sort(key=lambda item: item[3])
 
-    out = Path(config.out)
+    out = Path(args.out)
     report = {
         "command": "fit-s21",
         "photon_convention": PHOTON_CONVENTION,
@@ -214,7 +199,6 @@ def _cmd_fit_s21(config: RunConfig) -> int:
                 "loss_err": fit.loss_err,
                 "photon_number": n,
                 "residual_rms": fit.residual_rms,
-                "converged": fit.converged,
                 "nfev": fit.nfev,
                 "delay_s": delay,
                 "baseline": [baseline.real, baseline.imag],
@@ -239,23 +223,23 @@ def _cmd_fit_s21(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_fit_tls(config: RunConfig) -> int:
-    if len(config.inputs) != 1:
+def _cmd_fit_tls(args: argparse.Namespace) -> int:
+    if len(args.input) != 1:
         raise ValueError("fit-tls takes exactly one power-sweep input")
-    path = _resolve_input(config.inputs[0])
+    path = _resolve_input(args.input[0])
     points, f0, temperature, fractional = fileio.read_power_sweep(path)
 
     result = fit_power_sweep(
         points,
         omega0=2.0 * np.pi * f0,
         temperature=temperature,
-        free_beta=(config.beta == "free"),
+        free_beta=(args.beta == "free"),
         fractional=fractional,
     )
-    out = Path(config.out)
+    out = Path(args.out)
     report = {
         "command": "fit-tls",
-        "options": {"beta": config.beta, "fractional": fractional},
+        "options": {"beta": args.beta, "fractional": fractional},
         "f0_hz": f0,
         "temperature_k": temperature,
         "params": {
@@ -273,7 +257,6 @@ def _cmd_fit_tls(config: RunConfig) -> int:
         "thermal_factor": result.params.thermal_factor,
         "n_c_physical": result.n_c_physical,
         "residual_rms": result.residual_rms,
-        "converged": result.converged,
         **_provenance([path]),
     }
     fileio.atomic_write_json(out / "fit_tls.json", report)
@@ -297,16 +280,21 @@ def _load_fit_loss(path) -> tuple[float, float]:
         doc.get("uncertainties", {}).get("f_tan_delta0", 0.0))
 
 
-def _cmd_extract(config: RunConfig) -> int:
-    if len(config.inputs) != 1:
+def _cmd_extract(args: argparse.Namespace) -> int:
+    if len(args.input) != 1:
         raise ValueError("extract takes exactly one device-table input")
-    path = _resolve_input(config.inputs[0])
+    path = _resolve_input(args.input[0])
     records, reference = fileio.read_device_table(path)
 
     ppc = _find_record(records, DesignKind.LE_PPC)
     idc = _find_record(records, DesignKind.LE_IDC)
     cpw = _find_record(records, DesignKind.CPW)
-    fit_paths = {k: _resolve_input(v) for k, v in config.fit_reports.items()}
+    # per-device TLS fit reports supplying the losses
+    fit_paths = {
+        key: _resolve_input(spec)
+        for key in ("ppc", "idc", "cpw")
+        if (spec := getattr(args, f"{key}_fit"))
+    }
     losses = {}
     for key, rec in (("ppc", ppc), ("idc", idc), ("cpw", cpw)):
         if key in fit_paths:
@@ -346,7 +334,6 @@ def _cmd_extract(config: RunConfig) -> int:
             "cpw": {"loss": losses["cpw"][0], "loss_err": losses["cpw"][1]},
         },
         "idc_loss_proxy": result.idc_loss_proxy,
-        "cpw_proxy_assumed": result.cpw_proxy_assumed,
         "inductor_loss": result.inductor_loss,
         "inductor_loss_err": result.inductor_loss_err,
         "ppc_loss": result.ppc_loss,
@@ -368,7 +355,7 @@ def _cmd_extract(config: RunConfig) -> int:
             comparison["ppc_loss_relative_deviation"] = (result.ppc_loss - ref) / ref
         report["reference"] = comparison
 
-    fileio.atomic_write_json(Path(config.out) / "extract.json", report)
+    fileio.atomic_write_json(Path(args.out) / "extract.json", report)
     print(
         f"extract: inductor loss {result.inductor_loss:.4g}, "
         f"capacitor loss {result.ppc_loss:.4g}, "
@@ -383,20 +370,21 @@ def _cmd_extract(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_error_map(config: RunConfig) -> int:
-    grid = _parse_grid(config.grid or "1e-7:1e-1:61")
-    axis = config.axis
+def _cmd_error_map(args: argparse.Namespace) -> int:
+    grid = _parse_grid(args.grid or "1e-7:1e-1:61")
+    axis = args.axis
+    curves = [float(c) for c in args.curves.split(",")] if args.curves else None
     if axis == error_analysis.AXIS_INDUCTOR_LOSS:
-        curves = config.curves or [1.12e-7, 1.12e-6, 1.12e-5, 1.12e-4, 1.12e-3]
-        fixed = config.fixed if config.fixed is not None else 0.102
+        curves = curves or [1.12e-7, 1.12e-6, 1.12e-5, 1.12e-4, 1.12e-3]
+        fixed = args.fixed if args.fixed is not None else 0.102
     else:
-        curves = config.curves or [0.001, 0.01, 0.102, 0.3]
-        fixed = config.fixed if config.fixed is not None else 1.12e-5
+        curves = curves or [0.001, 0.01, 0.102, 0.3]
+        fixed = args.fixed if args.fixed is not None else 1.12e-5
     emap = error_analysis.error_map(
-        axis, grid, curves, fixed, threshold=config.threshold
+        axis, grid, curves, fixed, threshold=args.threshold
     )
 
-    out = Path(config.out)
+    out = Path(args.out)
     curve_name = "inductor_loss" if axis == error_analysis.AXIS_INDUCTOR_LOSS else "participation"
     header = ["capacitor_loss"] + [f"{curve_name}_{fileio.fmt(c)}" for c in emap.curves]
     lines = [f"# tool_version = {__version__}"]
@@ -514,34 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command, inputs=list(args.input), out=args.out)
-    if hasattr(args, "seed"):
-        config.seed = args.seed
-    if hasattr(args, "beta"):
-        config.beta = args.beta
-    if hasattr(args, "threshold"):
-        config.threshold = args.threshold
-    if hasattr(args, "grid"):
-        config.grid = args.grid
-    if hasattr(args, "axis"):
-        config.axis = args.axis
-    if getattr(args, "curves", None):
-        config.curves = [float(c) for c in args.curves.split(",")]
-    if hasattr(args, "fixed"):
-        config.fixed = args.fixed
-    if hasattr(args, "delay"):
-        config.delay = args.delay
-    if getattr(args, "baseline", None):
-        re_s, _, im_s = args.baseline.partition(",")
-        config.baseline = complex(float(re_s), float(im_s or 0.0))
-    for key in ("ppc", "idc", "cpw"):
-        value = getattr(args, f"{key}_fit", None)
-        if value:
-            config.fit_reports[key] = value
-    return config
-
-
 _COMMANDS = {
     "synth": _cmd_synth,
     "fit-s21": _cmd_fit_s21,
@@ -549,10 +509,6 @@ _COMMANDS = {
     "extract": _cmd_extract,
     "error-map": _cmd_error_map,
 }
-
-
-def run(config: RunConfig) -> int:
-    return _COMMANDS[config.command](config)
 
 
 def _error_report(exc: Exception, status: int) -> str:
@@ -571,11 +527,9 @@ def _error_report(exc: Exception, status: int) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = config_from_args(args)
+    args = build_parser().parse_args(argv)
     try:
-        return run(config)
+        return _COMMANDS[args.command](args)
     except _FIT_ERRORS as exc:
         print(_error_report(exc, EXIT_FIT), file=sys.stderr)
         return EXIT_FIT

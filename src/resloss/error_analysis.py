@@ -12,7 +12,6 @@ capacitor loss and tabulate the error per curve parameter.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -61,20 +60,6 @@ def measurable(capacitor_loss, inductor_loss, participation, threshold: float = 
 
 
 @dataclass(frozen=True)
-class ErrorRegimePoint:
-    """One evaluated point of an error map."""
-
-    capacitor_loss: float
-    inductor_loss: float
-    participation: float
-    signed: float
-
-    @property
-    def magnitude(self) -> float:
-        return abs(self.signed)
-
-
-@dataclass(frozen=True)
 class ErrorMap:
     """Error over a capacitor-loss grid, one curve per swept parameter.
 
@@ -103,24 +88,6 @@ class ErrorMap:
         if self.axis == AXIS_PARTICIPATION:
             return tuple(participation_asymptote(p) for p in self.curves)
         return tuple(participation_asymptote(self.fixed_value) for _ in self.curves)
-
-    def points(self) -> list[ErrorRegimePoint]:
-        out = []
-        for j, curve in enumerate(self.curves):
-            if self.axis == AXIS_PARTICIPATION:
-                ind, part = self.fixed_value, curve
-            else:
-                ind, part = curve, self.fixed_value
-            for i, cap in enumerate(self.capacitor_loss_grid):
-                out.append(
-                    ErrorRegimePoint(
-                        capacitor_loss=float(cap),
-                        inductor_loss=ind,
-                        participation=part,
-                        signed=float(self.signed[i, j]),
-                    )
-                )
-        return out
 
 
 def log_grid(lo: float, hi: float, n_points: int) -> np.ndarray:

@@ -21,10 +21,6 @@ class NonphysicalFitError(ReslossError):
     """A fit converged to parameters outside the physical domain."""
 
 
-class InsufficientBaselineError(ReslossError):
-    """Too few off-resonant samples to estimate delay and baseline."""
-
-
 class FitFailureError(ReslossError):
     """A nonlinear fit did not converge.
 

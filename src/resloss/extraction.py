@@ -62,19 +62,11 @@ class ExtractionResult:
     inductor_loss_err: float = 0.0
     ppc_loss_err: float = 0.0
     single_measurement_err: float = 0.0
-    cpw_proxy_assumed: bool = True  # records the CPW-for-IDC approximation
 
     def __post_init__(self):
         for name in ("idc_loss_proxy", "inductor_loss", "ppc_loss", "single_measurement"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0; negative solves are errors")
-
-
-def idc_loss_proxy(cpw_loss: float) -> float:
-    """IDC finger loss approximated by the matched-geometry CPW loss."""
-    if not cpw_loss > 0.0:
-        raise ValueError(f"cpw_loss must be > 0, got {cpw_loss}")
-    return float(cpw_loss)
 
 
 def solve_inductor_loss(
@@ -127,26 +119,18 @@ def solve_ppc_loss(
     return value
 
 
-def single_measurement_estimate(ppc_resonator_loss: float) -> float:
-    """Capacitor loss under the everything-is-the-capacitor assumption."""
-    if not ppc_resonator_loss > 0.0:
-        raise ValueError(f"loss must be > 0, got {ppc_resonator_loss}")
-    return float(ppc_resonator_loss)
-
-
 def extract(inputs: ExtractionInput) -> ExtractionResult:
     """Run the full three-device solve and the single-measurement estimate."""
-    proxy = idc_loss_proxy(inputs.cpw_loss)
-
     idc = inputs.idc_circuit
     inductor = solve_inductor_loss(
-        inputs.idc_resonator_loss, idc.cap_capacitance, idc.stray_capacitance, proxy
+        inputs.idc_resonator_loss, idc.cap_capacitance, idc.stray_capacitance,
+        inputs.cpw_loss,
     )
     ppc = inputs.ppc_circuit
     cap_loss = solve_ppc_loss(
         inputs.ppc_resonator_loss, ppc.cap_capacitance, ppc.stray_capacitance, inductor
     )
-    single = single_measurement_estimate(inputs.ppc_resonator_loss)
+    single = inputs.ppc_resonator_loss
     fractional = (cap_loss - single) / single
 
     # The solves are affine in the measured losses, so first-order
@@ -163,7 +147,7 @@ def extract(inputs: ExtractionInput) -> ExtractionResult:
     )
 
     return ExtractionResult(
-        idc_loss_proxy=proxy,
+        idc_loss_proxy=inputs.cpw_loss,
         inductor_loss=inductor,
         ppc_loss=cap_loss,
         single_measurement=single,

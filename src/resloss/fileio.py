@@ -176,6 +176,8 @@ def read_power_sweep(path: str | Path) -> tuple[list[PowerSweepPoint], float, fl
         raise ValueError(f"{path}: no data rows")
     points = []
     for row in rows:
+        if len(row) < 2:
+            raise ValueError(f"{path}: row {row!r} needs photon_number and loss")
         photons, loss = float(row[0]), float(row[1])
         sigma = float(row[2]) if len(row) > 2 and row[2].strip() else 0.0
         points.append(PowerSweepPoint(photons=photons, loss=loss, loss_sigma=sigma))

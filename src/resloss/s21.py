@@ -21,11 +21,7 @@ import numpy as np
 from scipy.constants import hbar
 from scipy.optimize import least_squares
 
-from .errors import (
-    FitFailureError,
-    InsufficientBaselineError,
-    OutOfSpanError,
-)
+from .errors import FitFailureError, OutOfSpanError
 
 TWO_PI = 2.0 * math.pi
 
@@ -68,10 +64,6 @@ class ComplexSweep:
     def __len__(self) -> int:
         return self.frequencies.size
 
-    @property
-    def span(self) -> tuple[float, float]:
-        return float(self.frequencies[0]), float(self.frequencies[-1])
-
 
 @dataclass(frozen=True)
 class ResonatorFitResult:
@@ -86,8 +78,6 @@ class ResonatorFitResult:
     q_c_err: float
     phi_err: float
     residual_rms: float  # RMS of the complex transmission misfit
-    converged: bool
-    n_points: int
     nfev: int  # model evaluations of the solver
 
     @property
@@ -162,10 +152,6 @@ def _estimate_delay(f: np.ndarray, z: np.ndarray, baseline: complex | None = Non
     then moved to the branch nearest the slope.
     """
     mask = _edge_mask(f.size)
-    if np.count_nonzero(mask) < 4:
-        raise InsufficientBaselineError(
-            "fewer than 4 off-resonant points available for delay estimation"
-        )
     phase = np.unwrap(np.angle(z))[mask]
     fe = f[mask]
     fc = fe.mean()
@@ -179,12 +165,7 @@ def _estimate_delay(f: np.ndarray, z: np.ndarray, baseline: complex | None = Non
 
 def _estimate_baseline(f: np.ndarray, z: np.ndarray) -> complex:
     """Off-resonant level from the mean magnitude and phase of the edges."""
-    mask = _edge_mask(f.size)
-    if np.count_nonzero(mask) < 4:
-        raise InsufficientBaselineError(
-            "fewer than 4 off-resonant points available for baseline estimation"
-        )
-    edges = z[mask]
+    edges = z[_edge_mask(f.size)]
     mag = float(np.mean(np.abs(edges)))
     direction = np.mean(edges / np.abs(edges))
     phase = float(np.angle(direction)) if direction != 0 else 0.0
@@ -233,8 +214,6 @@ def _model_and_jacobian(p, f):
     d_qc = -term / q_c
     d_phi = 1j * term
     return model, (d_f0, d_qi, d_qc, d_phi)
-
-
 
 
 def fit_resonance(
@@ -368,16 +347,25 @@ def _joint_fit(sweep, delay, baseline, initial_guess):
     return result, float(tau), complex(b)
 
 
-def _build_result(res, n: int) -> ResonatorFitResult:
-    # Columns are normalized before the inversion: f0 and the delay sit
-    # many decades away from the dimensionless parameters.
+def one_sigma_errors(res) -> np.ndarray:
+    """One-sigma errors of the parameters of a least_squares result.
+
+    The covariance is s^2 (J^T J)^-1 with s^2 the residual variance.
+    Columns are normalized before the inversion: parameters such as f0
+    and the delay sit many decades away from the dimensionless ones, and
+    the unscaled J^T J can be too ill-conditioned to invert.
+    """
     norms = np.linalg.norm(res.jac, axis=0)
     norms[norms == 0.0] = 1.0
     scaled = res.jac / norms
     dof = max(res.fun.size - res.x.size, 1)
     s2 = 2.0 * res.cost / dof
     cov = np.linalg.pinv(scaled.T @ scaled) / np.outer(norms, norms) * s2
-    err = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    return np.sqrt(np.maximum(np.diag(cov), 0.0))
+
+
+def _build_result(res, n: int) -> ResonatorFitResult:
+    err = one_sigma_errors(res)
     return ResonatorFitResult(
         f0=float(res.x[0]),
         q_i=float(res.x[1]),
@@ -388,7 +376,5 @@ def _build_result(res, n: int) -> ResonatorFitResult:
         q_c_err=float(err[2]),
         phi_err=float(err[3]),
         residual_rms=float(np.sqrt(2.0 * res.cost / n)),
-        converged=bool(res.success),
-        n_points=n,
         nfev=int(res.nfev),
     )

@@ -23,6 +23,7 @@ from scipy.constants import hbar, k as k_B
 from scipy.optimize import least_squares
 
 from .errors import FitFailureError, IllConditionedFitError
+from .s21 import one_sigma_errors
 
 _MAX_ITER = 200
 _FTOL = 1e-14
@@ -100,11 +101,6 @@ def total_loss(photons, params: TlsLossParams):
     return tls_loss(photons, params) + 1.0 / params.q_hp
 
 
-def loss_at_zero(params: TlsLossParams) -> float:
-    """Zero-power zero-temperature TLS loss, the tabulated figure of merit."""
-    return params.f_tan_delta0
-
-
 @dataclass(frozen=True)
 class TlsFitResult:
     """Power-sweep fit output with one-sigma parameter uncertainties."""
@@ -115,8 +111,6 @@ class TlsFitResult:
     q_hp_err: float
     beta_err: float
     residual_rms: float  # RMS of log-loss misfit
-    converged: bool
-    beta_free: bool
     n_c_physical: bool  # False when the photon axis was fractional n/n_c
 
 
@@ -185,15 +179,8 @@ def fit_power_sweep(
         w = np.ones_like(y)
 
     fit_n_c = not fractional
-    n_c0 = 1.0
-    if fit_n_c:
-        candidates = np.geomspace(n_lo / 10.0, n_hi * 10.0, 25)
-        n_c0, a0, b0 = _profile_n_c(n, y, th, beta, candidates)
-    else:
-        g = th / (1.0 + n) ** beta
-        design = np.column_stack([g, np.ones_like(g)])
-        (a0, b0), *_ = np.linalg.lstsq(design, y, rcond=None)
-    ftd0 = max(a0, 0.0)
+    candidates = np.geomspace(n_lo / 10.0, n_hi * 10.0, 25) if fit_n_c else [1.0]
+    n_c0, ftd0, b0 = _profile_n_c(n, y, th, beta, candidates)
 
     # The profiled floor can collapse to zero when the sweep barely reaches
     # saturation; restart from a few floor guesses anchored to the lowest
@@ -265,8 +252,7 @@ def fit_power_sweep(
 
     ftd_hat, nc_hat, qhp_hat, beta_hat = unpack(res.x)
     result = _build_result(
-        res, ftd_hat, nc_hat, qhp_hat, beta_hat, omega0, temperature,
-        fit_n_c, free_beta, converged=bool(res.success),
+        res, ftd_hat, nc_hat, qhp_hat, beta_hat, omega0, temperature, fit_n_c, free_beta
     )
     if not res.success:
         raise FitFailureError("power-sweep fit did not converge", best=result)
@@ -291,14 +277,8 @@ def fit_power_sweep(
 
 
 def _build_result(res, ftd, nc, qhp, beta_hat, omega0, temperature,
-                  fit_n_c, free_beta, converged):
-    m = res.fun.size
-    n_par = res.x.size
-    dof = max(m - n_par, 1)
-    s2 = 2.0 * res.cost / dof
-    jtj = res.jac.T @ res.jac
-    cov = np.linalg.pinv(jtj) * s2
-    err = np.sqrt(np.maximum(np.diag(cov), 0.0))
+                  fit_n_c, free_beta):
+    err = one_sigma_errors(res)
 
     i = 1
     nc_err = 0.0
@@ -324,7 +304,5 @@ def _build_result(res, ftd, nc, qhp, beta_hat, omega0, temperature,
         q_hp_err=float(qhp_err),
         beta_err=float(beta_err),
         residual_rms=float(np.sqrt(np.mean(res.fun**2))),
-        converged=converged,
-        beta_free=free_beta,
         n_c_physical=fit_n_c,
     )

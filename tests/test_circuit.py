@@ -18,7 +18,6 @@ from resloss import (
     capacitance_from_frequency,
     fit_arm_scaling,
     fit_lc,
-    participation_ratios,
     resonance_frequency,
 )
 
@@ -197,19 +196,20 @@ class TestParticipation:
         assert m.total_capacitance == 727.7e-15 + 82.2e-15
 
     def test_device_a_values(self):
-        cap_p, ind_p = participation_ratios(model())
+        ind_p = model().inductor_participation
         # 82.2 / 809.9 from the tabulated capacitances; the rounded
         # published ratio for this device is 0.102
         assert ind_p == pytest.approx(82.2 / 809.9, rel=1e-12)
         assert abs(ind_p - 0.102) < 6e-4
 
     def test_pure_capacitor(self):
-        assert participation_ratios(model(cl=0.0)) == (1.0, 0.0)
+        m = model(cl=0.0)
+        assert (m.capacitor_participation, m.inductor_participation) == (1.0, 0.0)
 
     def test_symmetric_split(self):
-        cap_p, ind_p = participation_ratios(model(cc=300e-15, cl=300e-15))
-        assert cap_p == pytest.approx(0.5, abs=1e-15)
-        assert ind_p == pytest.approx(0.5, abs=1e-15)
+        m = model(cc=300e-15, cl=300e-15)
+        assert m.capacitor_participation == pytest.approx(0.5, abs=1e-15)
+        assert m.inductor_participation == pytest.approx(0.5, abs=1e-15)
 
     @given(
         cc=st.floats(1e-16, 1e-11),
@@ -220,10 +220,9 @@ class TestParticipation:
     def test_scale_invariance_and_unit_sum(self, cc, cl, factor):
         a = model(cc=cc, cl=cl)
         b = model(cc=cc * factor, cl=cl * factor)
-        pa = participation_ratios(a)
-        pb = participation_ratios(b)
-        assert pa[0] == pytest.approx(pb[0], rel=1e-9)
-        assert pa[0] + pa[1] == pytest.approx(1.0, abs=1e-12)
+        assert a.capacitor_participation == pytest.approx(b.capacitor_participation, rel=1e-9)
+        assert a.capacitor_participation + a.inductor_participation == pytest.approx(
+            1.0, abs=1e-12)
 
 
 class TestDeviceRecord:

@@ -129,16 +129,6 @@ class TestErrorMap:
         emap = error_map(AXIS_INDUCTOR_LOSS, np.array([1.12e-5]), [1.12e-5], 0.102)
         assert emap.signed[0, 0] == 0.0
 
-    def test_points_table_is_ordered(self):
-        grid = log_grid(1e-6, 1e-3, 5)
-        emap = error_map(AXIS_INDUCTOR_LOSS, grid, [1e-5, 1e-4], 0.102)
-        points = emap.points()
-        assert len(points) == 10
-        assert points[0].capacitor_loss == pytest.approx(1e-6)
-        assert points[0].inductor_loss == 1e-5
-        assert points[-1].inductor_loss == 1e-4
-        assert points[0].magnitude == abs(points[0].signed)
-
     def test_measurable_mask_matches_threshold(self):
         grid = log_grid(1e-7, 1e-1, 31)
         emap = error_map(AXIS_INDUCTOR_LOSS, grid, [1.12e-5], 0.102, threshold=0.1)

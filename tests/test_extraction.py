@@ -8,8 +8,6 @@ from resloss import (
     ExtractionInput,
     InconsistentInputsError,
     extract,
-    idc_loss_proxy,
-    single_measurement_estimate,
     solve_inductor_loss,
     solve_ppc_loss,
 )
@@ -34,14 +32,6 @@ def reference_input(**overrides):
 
 
 class TestStages:
-    def test_proxy_is_identity(self):
-        assert idc_loss_proxy(8.42e-6) == 8.42e-6
-        assert idc_loss_proxy(3.3e-4) == 3.3e-4
-
-    def test_proxy_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            idc_loss_proxy(0.0)
-
     def test_inductor_loss_reference_value(self):
         # ((34.7+64.4)*8.9e-6 - 34.7*8.42e-6)/64.4 = 9.1586e-6
         value = solve_inductor_loss(8.9e-6, 34.7e-15, 64.4e-15, 8.42e-6)
@@ -74,11 +64,6 @@ class TestStages:
             solve_ppc_loss(1e-6, 100e-15, 900e-15, 1e-4)
         assert info.value.stage == "ppc_loss"
 
-    def test_single_measurement_identity(self):
-        assert single_measurement_estimate(920e-6) == 920e-6
-        with pytest.raises(ValueError):
-            single_measurement_estimate(0.0)
-
 
 class TestExtract:
     def test_reference_devices(self):
@@ -88,7 +73,6 @@ class TestExtract:
         assert result.ppc_loss == pytest.approx(1.02288739909713e-3, rel=1e-12)
         assert result.single_measurement == 920e-6
         assert result.fractional_difference == pytest.approx(0.11183412945340215, rel=1e-12)
-        assert result.cpw_proxy_assumed
 
     def test_uncertainty_propagation(self):
         result = extract(reference_input())
@@ -152,6 +136,8 @@ class TestExtract:
     def test_nonpositive_losses_rejected(self):
         with pytest.raises(ValueError):
             reference_input(cpw_loss=0.0)
+        with pytest.raises(ValueError):
+            reference_input(ppc_resonator_loss=0.0)
 
     @given(
         loss=st.floats(1e-7, 1e-3),
