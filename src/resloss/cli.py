@@ -114,28 +114,38 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     else:
         doc = _DEFAULT_TRUTH.copy()
         provenance = {"tool_version": __version__, "input_files": [{"path": "builtin:default-truth"}]}
+    if not isinstance(doc, dict):
+        raise ValueError("truth must be a JSON object")
     if args.seed is not None:
         doc["seed"] = args.seed
     baseline = doc.get("baseline", [1.0, 0.0])
     if not (isinstance(baseline, list) and len(baseline) == 2):
         raise ValueError(f"truth baseline must be [re, im], got {baseline!r}")
+    powers = doc["powers"]
+    if not isinstance(powers, list):
+        raise ValueError(f"truth field 'powers' must be a list, got {powers!r}")
+
+    def field(key, default=None, kind=float):
+        value = doc[key] if default is None else doc.get(key, default)
+        return fileio.as_number(value, f"truth field {key!r}", kind)
+
     truth = synth.GroundTruth(
-        f0=float(doc["f0"]),
-        q_c=float(doc["q_c"]),
-        phi=float(doc.get("phi", 0.0)),
-        f_tan_delta0=float(doc["f_tan_delta0"]),
-        n_c=float(doc["n_c"]),
-        beta=float(doc.get("beta", 0.5)),
-        q_hp=float(doc["q_hp"]),
-        temperature=float(doc["temperature"]),
-        span=float(doc["span"]),
-        n_points=int(doc["n_points"]),
-        powers=tuple(float(p) for p in doc["powers"]),
-        s21_sigma=float(doc.get("s21_sigma", 0.0)),
-        delay=float(doc.get("delay", 0.0)),
-        baseline=complex(baseline[0], baseline[1]),
-        loss_rel_sigma=float(doc.get("loss_rel_sigma", 0.0)),
-        seed=int(doc.get("seed", 0)),
+        f0=field("f0"),
+        q_c=field("q_c"),
+        phi=field("phi", 0.0),
+        f_tan_delta0=field("f_tan_delta0"),
+        n_c=field("n_c"),
+        beta=field("beta", 0.5),
+        q_hp=field("q_hp"),
+        temperature=field("temperature"),
+        span=field("span"),
+        n_points=field("n_points", kind=int),
+        powers=tuple(fileio.as_number(p, "truth field 'powers'") for p in powers),
+        s21_sigma=field("s21_sigma", 0.0),
+        delay=field("delay", 0.0),
+        baseline=complex(*(fileio.as_number(b, "truth baseline") for b in baseline)),
+        loss_rel_sigma=field("loss_rel_sigma", 0.0),
+        seed=field("seed", 0, int),
     )
 
     out = Path(args.out)
@@ -257,6 +267,7 @@ def _cmd_fit_tls(args: argparse.Namespace) -> int:
         "thermal_factor": result.params.thermal_factor,
         "n_c_physical": result.n_c_physical,
         "residual_rms": result.residual_rms,
+        "nfev": result.nfev,
         **_provenance([path]),
     }
     fileio.atomic_write_json(out / "fit_tls.json", report)
@@ -276,8 +287,11 @@ def _find_record(records, kind: DesignKind):
 
 def _load_fit_loss(path) -> tuple[float, float]:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return float(doc["params"]["f_tan_delta0"]), float(
-        doc.get("uncertainties", {}).get("f_tan_delta0", 0.0))
+    return (
+        fileio.as_number(doc["params"]["f_tan_delta0"], f"{path}: f_tan_delta0"),
+        fileio.as_number(doc.get("uncertainties", {}).get("f_tan_delta0", 0.0),
+                         f"{path}: f_tan_delta0 uncertainty"),
+    )
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
@@ -346,12 +360,12 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     if reference:
         comparison = {"values": reference}
         if "inductor_loss" in reference:
-            ref = float(reference["inductor_loss"])
+            ref = fileio.as_number(reference["inductor_loss"], "reference inductor_loss")
             comparison["inductor_loss_relative_deviation"] = (
                 result.inductor_loss - ref
             ) / ref
         if "ppc_loss" in reference:
-            ref = float(reference["ppc_loss"])
+            ref = fileio.as_number(reference["ppc_loss"], "reference ppc_loss")
             comparison["ppc_loss_relative_deviation"] = (result.ppc_loss - ref) / ref
         report["reference"] = comparison
 

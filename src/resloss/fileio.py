@@ -39,6 +39,14 @@ def fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def as_number(value, name: str, kind=float):
+    """``kind(value)``, with a ValueError naming the field for a wrong JSON type."""
+    try:
+        return kind(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
 def dbm_to_watts(dbm: float) -> float:
     return 1e-3 * 10.0 ** (dbm / 10.0)
 
@@ -199,7 +207,7 @@ def _record_from_fields(fields: dict) -> DeviceRecord:
         value = fields.get(key)
         if value is None or (isinstance(value, str) and not value.strip()):
             return None
-        return float(value)
+        return as_number(value, f"device field {key!r}")
 
     design = DesignKind(str(fields["design"]).strip())
     cap = opt_float("C_C_fF")
@@ -224,7 +232,7 @@ def _record_from_fields(fields: dict) -> DeviceRecord:
         label=str(fields.get("label", "")),
         design=design,
         material=str(fields.get("material", "")),
-        f0=float(fields["f0_GHz"]) * GHZ,
+        f0=as_number(fields["f0_GHz"], "device field 'f0_GHz'") * GHZ,
         arm_pairs=int(arm_pairs) if arm_pairs is not None else None,
         coupling_gap=gap * MICRO if gap is not None else None,
         circuit=circuit,
@@ -243,8 +251,13 @@ def read_device_table(path: str | Path) -> tuple[list[DeviceRecord], dict | None
     text = path.read_text(encoding="utf-8")
     if path.suffix.lower() == ".json":
         doc = json.loads(text)
-        records = [_record_from_fields(entry) for entry in doc["devices"]]
-        return records, doc.get("reference")
+        devices = doc.get("devices") if isinstance(doc, dict) else None
+        reference = doc.get("reference") if isinstance(doc, dict) else None
+        if not (isinstance(devices, list) and all(isinstance(d, dict) for d in devices)):
+            raise ValueError(f"{path}: 'devices' must be a list of JSON objects")
+        if not isinstance(reference, (dict, type(None))):
+            raise ValueError(f"{path}: 'reference' must be a JSON object")
+        return [_record_from_fields(entry) for entry in devices], reference
     meta, rows = _parse_header_and_rows(text)
     if not rows:
         raise ValueError(f"{path}: empty device table")

@@ -18,15 +18,19 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.constants import hbar
-from scipy.optimize import least_squares
 
 from .errors import FitFailureError, OutOfSpanError
 
 TWO_PI = 2.0 * math.pi
 
+# Exact SI values (2019 redefinition of the SI base units).
+hbar = 6.62607015e-34 / (2.0 * math.pi)  # J s
+k_B = 1.380649e-23  # J/K
+
 _MAX_ITER = 200
 _FTOL = 1e-12
+_MU_MIN = 1e-12  # damping floor, relative to the unit-scaled J^T J
+_COND_MAX = 1e8  # above this condition number of J^T J, steps come from the SVD of J
 _EDGE_FRACTION = 0.05  # per side; the outer 10% of points are off-resonant
 
 
@@ -281,50 +285,60 @@ def _joint_fit(sweep, delay, baseline, initial_guess):
         qi_0 = float(initial_guess.get("q_i", qi_0))
         qc_0 = float(initial_guess.get("q_c", qc_0))
         phi_0 = float(initial_guess.get("phi", phi_0))
+    # Q_i and Q_c are fitted as logarithms: on overcoupled sweeps Q_i
+    # spans decades within its error, and the log keeps the steps even.
     p0 = [
         min(max(f0_0, float(f[0])), float(f[-1])),
-        min(max(qi_0, 1.0), 1e12),
-        min(max(qc_0, 1.0), 1e12),
+        math.log(min(max(qi_0, 1.0), 1e12)),
+        math.log(min(max(qc_0, 1.0), 1e12)),
         min(max(phi_0, -math.pi), math.pi),
     ]
-    lower = [f[0], 1.0, 1.0, -math.pi]
-    upper = [f[-1], 1e12, 1e12, math.pi]
+    lower = [f[0], 0.0, 0.0, -math.pi]
+    upper = [f[-1], math.log(1e12), math.log(1e12), math.pi]
+    # A free baseline is referred to the centre f_c of the span, where it
+    # is nearly uncorrelated with the delay; referred to f = 0 the two
+    # trade off almost exactly, since f varies by only a few linewidths.
+    f_c = 0.5 * (f[0] + f[-1]) if baseline is None else 0.0
+    f_ref = f - f_c
     if delay is None:
         p0.append(delay_0)
     if baseline is None:
-        p0 += [math.log(abs(baseline_0)), cmath.phase(baseline_0)]
+        b_ref = baseline_0 * cmath.exp(-2j * math.pi * f_c * delay_0)
+        p0 += [math.log(abs(b_ref)), cmath.phase(b_ref)]
     lower += [-np.inf] * (len(p0) - 4)
     upper += [np.inf] * (len(p0) - 4)
 
-    def calibration(p):
+    def dressing(p):
+        """(delay, baseline referred to f_ref)."""
         tau = p[4] if delay is None else delay_0
         b = cmath.exp(complex(p[-2], p[-1])) if baseline is None else baseline_0
         return tau, b
 
-    def dressed_model(p):
-        tau, b = calibration(p)
-        inv, grads = _model_and_jacobian(p[:4], f)
-        return b * np.exp(-2j * math.pi * f * tau) / inv, inv, grads
-
     def residuals(p):
-        diff = dressed_model(p)[0] - z
+        tau, b = dressing(p)
+        inv = inverse_s21_model(f, p[0], math.exp(p[1]), math.exp(p[2]), p[3])
+        diff = b * np.exp(-2j * math.pi * f_ref * tau) / inv - z
         return np.concatenate([diff.real, diff.imag])
 
     def jacobian(p):
-        s, inv, grads = dressed_model(p)
-        cols = [-s / inv * g for g in grads]
+        tau, b = dressing(p)
+        q_i, q_c = math.exp(p[1]), math.exp(p[2])
+        inv, (d_f0, d_qi, d_qc, d_phi) = _model_and_jacobian((p[0], q_i, q_c, p[3]), f)
+        s = b * np.exp(-2j * math.pi * f_ref * tau) / inv
+        u = -s / inv
+        cols = [u * d_f0, u * (q_i * d_qi), u * (q_c * d_qc), u * d_phi]
         if delay is None:
-            cols.append(-2j * math.pi * f * s)
+            cols.append(-2j * math.pi * f_ref * s)
         if baseline is None:
             cols += [s, 1j * s]
-        return np.column_stack([np.concatenate([c.real, c.imag]) for c in cols])
+        cols = np.column_stack(cols)
+        return np.concatenate([cols.real, cols.imag])
 
     res = least_squares(
         residuals,
         np.array(p0),
         jac=jacobian,
         bounds=(lower, upper),
-        method="trf",
         x_scale="jac",
         ftol=_FTOL,
         xtol=_FTOL,
@@ -343,8 +357,107 @@ def _joint_fit(sweep, delay, baseline, initial_guess):
             f"fitted resonance {result.f0:.6g} Hz sits at the edge of the "
             f"swept range [{f[0]:.6g}, {f[-1]:.6g}] Hz"
         )
-    tau, b = calibration(res.x)
-    return result, float(tau), complex(b)
+    tau, b = dressing(res.x)
+    return result, float(tau), complex(b * cmath.exp(2j * math.pi * f_c * tau))
+
+
+@dataclass
+class LeastSquaresResult:
+    """Outcome of ``least_squares``; plain and mutable."""
+
+    x: np.ndarray  # final parameters
+    fun: np.ndarray  # residuals at x
+    jac: np.ndarray  # Jacobian at x
+    cost: float  # 0.5 * sum(fun**2)
+    nfev: int  # residual evaluations
+    success: bool  # a tolerance was met within max_nfev
+
+
+def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf), x_scale="jac", ftol=1e-8,
+                  xtol=1e-8, gtol=1e-8, max_nfev=200) -> LeastSquaresResult:
+    """Minimize 0.5*||fun(x)||^2 within box bounds by Levenberg-Marquardt.
+
+    Each step solves (J^T J + mu*D^2) dx = -J^T r (Marquardt 1963; More,
+    Lecture Notes in Mathematics 630, 1978). D is 1/x_scale, or for
+    x_scale="jac" the running maximum of the Jacobian's column norms, so
+    the step does not depend on the units of the parameters. The system
+    is solved through the eigendecomposition of the scaled J^T J, or
+    through the SVD of the scaled Jacobian when J^T J is too
+    ill-conditioned to keep its small eigenvalues. The damping mu follows
+    the gain ratio of actual to predicted cost reduction (Nielsen 1999).
+    A step is also refused when the nonlinear part of its residual change
+    outweighs both the linear part J*dx and half the current residual,
+    since the linear model does not describe that step. A step that
+    leaves the box is clipped onto it, and a parameter held at a bound by
+    its gradient is left out of the step.
+
+    Stops with success when the scaled gradient max_j |(J^T r)_j| / D_j
+    is <= gtol, when the actual and the predicted relative cost
+    reductions of a step are both <= ftol, or when the scaled step
+    ||D dx|| is <= xtol * (xtol + ||D x||). Returns success=False, at the
+    best point found, when max_nfev residual evaluations pass first.
+    """
+    lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), np.shape(x0)) for b in bounds)
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    r = fun(x)
+    nfev = 1
+    cost = 0.5 * float(r @ r)
+    J = jac(x)
+    fixed_scale = None if isinstance(x_scale, str) else 1.0 / np.asarray(x_scale, dtype=float)
+    scale = np.zeros(x.size)
+    mu, nu = 1e-3, 2.0
+    success = False
+    while not success and nfev < max_nfev:
+        A = J.T @ J
+        g = J.T @ r
+        if fixed_scale is None:
+            scale = np.maximum(scale, np.sqrt(np.diag(A)))
+        else:
+            scale = fixed_scale
+        free = (scale > 0.0) & ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
+        if np.all(np.abs(g[free]) <= gtol * scale[free]):
+            success = True
+            break
+        d = scale[free]
+        lam, V = np.linalg.eigh(A[np.ix_(free, free)] / np.outer(d, d))
+        if lam[0] > lam[-1] / _COND_MAX:
+            coef = V.T @ (-g[free] / d)
+        else:
+            # J^T J has lost the small singular values of J to rounding;
+            # the SVD of the scaled Jacobian keeps them.
+            u, sv, vt = np.linalg.svd(J[:, free] / d, full_matrices=False)
+            V, lam, coef = vt.T, sv**2, -sv * (u.T @ r)
+        x_norm = math.sqrt(float(np.sum((scale * x) ** 2)))
+        while nfev < max_nfev:
+            step = np.zeros(x.size)
+            step[free] = V @ (coef / (lam + mu)) / d
+            trial = np.clip(x + step, lo, hi)
+            s = trial - x
+            r_trial = fun(trial)
+            nfev += 1
+            cost_trial = 0.5 * float(r_trial @ r_trial)
+            js = J @ s
+            linear = float(js @ js)
+            predicted = -float(g @ s) - 0.5 * linear
+            actual = cost - cost_trial
+            ratio = actual / predicted if predicted > 0.0 else -1.0
+            nonlinear = float(np.sum((r_trial - r - js) ** 2))
+            if ratio > 1e-4 and nonlinear > max(linear, 0.5 * cost):
+                ratio = -1.0
+            success = (
+                math.sqrt(float(np.sum((scale * s) ** 2))) <= xtol * (xtol + x_norm)
+                or (abs(actual) <= ftol * cost and predicted <= ftol * cost and ratio <= 2.0)
+            )
+            if ratio > 1e-4:
+                x, r, cost = trial, r_trial, cost_trial
+                J = jac(x)
+                mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), _MU_MIN)
+                nu = 2.0
+                break
+            mu, nu = mu * nu, 2.0 * nu
+            if success:
+                break
+    return LeastSquaresResult(x=x, fun=r, jac=J, cost=cost, nfev=nfev, success=success)
 
 
 def one_sigma_errors(res) -> np.ndarray:
@@ -366,14 +479,16 @@ def one_sigma_errors(res) -> np.ndarray:
 
 def _build_result(res, n: int) -> ResonatorFitResult:
     err = one_sigma_errors(res)
+    q_i = math.exp(res.x[1])
+    q_c = math.exp(res.x[2])
     return ResonatorFitResult(
         f0=float(res.x[0]),
-        q_i=float(res.x[1]),
-        q_c=float(res.x[2]),
+        q_i=q_i,
+        q_c=q_c,
         phi=float(res.x[3]),
         f0_err=float(err[0]),
-        q_i_err=float(err[1]),
-        q_c_err=float(err[2]),
+        q_i_err=q_i * float(err[1]),
+        q_c_err=q_c * float(err[2]),
         phi_err=float(err[3]),
         residual_rms=float(np.sqrt(2.0 * res.cost / n)),
         nfev=int(res.nfev),

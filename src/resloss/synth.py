@@ -19,7 +19,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .s21 import ComplexSweep, inverse_s21_model, photon_number
 from .tls import PowerSweepPoint, TlsLossParams, total_loss
@@ -102,8 +101,40 @@ def resonator_state(truth: GroundTruth, power: float) -> tuple[float, float]:
     if gap(n_hi) >= 0.0:
         n = n_hi
     else:
-        n = brentq(gap, 0.0, n_hi, xtol=1e-30, rtol=1e-14, maxiter=200)
+        n = _illinois(gap, 0.0, n_hi)
     return float(n), q_i(n)
+
+
+def _illinois(func, a: float, b: float) -> float:
+    """Root of ``func`` on [a, b], where func(a) > 0 > func(b).
+
+    Regula falsi in which an end point kept twice in a row has its
+    function value halved (the Illinois method; Dowell & Jarratt, BIT 11,
+    168 (1971)). It never leaves the bracket, converges superlinearly and
+    stops when the bracket is down to a few ulps or no longer shrinks.
+    """
+    fa, fb = func(a), func(b)
+    kept = 0  # +1 when a was kept by the last step, -1 when b was
+    for _ in range(200):
+        c = (a * fb - b * fa) / (fb - fa)
+        if not a < c < b:
+            break
+        fc = func(c)
+        if fc == 0.0:
+            break
+        if fc > 0.0:
+            a, fa = c, fc
+            if kept == -1:
+                fb *= 0.5
+            kept = -1
+        else:
+            b, fb = c, fc
+            if kept == 1:
+                fa *= 0.5
+            kept = 1
+        if b - a <= 4.0 * np.spacing(c):
+            break
+    return c
 
 
 def generate_s21_sweep(truth: GroundTruth, power_index: int) -> ComplexSweep:

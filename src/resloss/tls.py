@@ -19,11 +19,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.constants import hbar, k as k_B
-from scipy.optimize import least_squares
 
 from .errors import FitFailureError, IllConditionedFitError
-from .s21 import one_sigma_errors
+from .s21 import hbar, k_B, least_squares, one_sigma_errors
 
 _MAX_ITER = 200
 _FTOL = 1e-14
@@ -112,6 +110,7 @@ class TlsFitResult:
     beta_err: float
     residual_rms: float  # RMS of log-loss misfit
     n_c_physical: bool  # False when the photon axis was fractional n/n_c
+    nfev: int  # model evaluations of the solver, over every restart
 
 
 def _profile_n_c(n, loss, th, beta, candidates):
@@ -225,7 +224,21 @@ def fit_power_sweep(
         model = th * ftd / (1.0 + n / nc) ** b + 1.0 / qhp
         return (np.log(model) - logy) / w
 
+    def jacobian(u):
+        ftd, nc, qhp, b = unpack(u)
+        sat = 1.0 + n / nc
+        g = th / sat**b
+        tls = ftd * g
+        cols = [g]
+        if fit_n_c:
+            cols.append(b * tls * (n / nc) / sat)
+        cols.append(np.full_like(n, -1.0 / qhp))
+        if free_beta:
+            cols.append(-tls * np.log(sat))
+        return np.column_stack(cols) / ((tls + 1.0 / qhp) * w)[:, None]
+
     res = None
+    nfev = 0
     for floor in floor_starts:
         p0 = [ftd0]
         if fit_n_c:
@@ -236,14 +249,15 @@ def fit_power_sweep(
         attempt = least_squares(
             residuals,
             np.asarray(p0),
+            jac=jacobian,
             bounds=(np.asarray(lo), np.asarray(hi)),
-            method="trf",
             x_scale=np.asarray(scale),
             ftol=_FTOL,
             xtol=_FTOL,
             gtol=_FTOL,
             max_nfev=_MAX_ITER * (len(p0) + 1),
         )
+        nfev += attempt.nfev
         # A converged attempt beats any non-converged one, whatever its cost.
         if res is None or (attempt.success, -attempt.cost) > (res.success, -res.cost):
             res = attempt
@@ -252,7 +266,7 @@ def fit_power_sweep(
 
     ftd_hat, nc_hat, qhp_hat, beta_hat = unpack(res.x)
     result = _build_result(
-        res, ftd_hat, nc_hat, qhp_hat, beta_hat, omega0, temperature, fit_n_c, free_beta
+        res, ftd_hat, nc_hat, qhp_hat, beta_hat, omega0, temperature, fit_n_c, free_beta, nfev
     )
     if not res.success:
         raise FitFailureError("power-sweep fit did not converge", best=result)
@@ -277,7 +291,7 @@ def fit_power_sweep(
 
 
 def _build_result(res, ftd, nc, qhp, beta_hat, omega0, temperature,
-                  fit_n_c, free_beta):
+                  fit_n_c, free_beta, nfev):
     err = one_sigma_errors(res)
 
     i = 1
@@ -305,4 +319,5 @@ def _build_result(res, ftd, nc, qhp, beta_hat, omega0, temperature,
         beta_err=float(beta_err),
         residual_rms=float(np.sqrt(np.mean(res.fun**2))),
         n_c_physical=fit_n_c,
+        nfev=int(nfev),
     )

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,6 +308,99 @@ class TestMalformedInput:
         config.write_text(json.dumps(truth))
         status = run("synth", "--input", config, "--out", tmp_path / "out")
         assert "[re, im]" in self.assert_input_error(status, capsys)["message"]
+
+
+    TRUTH = {
+        "f0": 4.5e9, "q_c": 2e4, "f_tan_delta0": 1e-5, "n_c": 5.0,
+        "q_hp": 1e6, "temperature": 0.1, "span": 3e6, "n_points": 64,
+        "powers": [1e-15], "baseline": [0.8, 0.3], "seed": 1,
+    }
+
+    @pytest.mark.parametrize("field, value", [
+        ("f0", [1.0]),
+        ("n_points", [64]),
+        ("seed", {"value": 1}),
+        ("powers", 1e-15),
+        ("baseline", ["a", "b"]),
+    ])
+    def test_synth_field_of_wrong_json_type(self, tmp_path, capsys, field, value):
+        config = tmp_path / "truth.json"
+        config.write_text(json.dumps({**self.TRUTH, field: value}))
+        status = run("synth", "--input", config, "--out", tmp_path / "out")
+        self.assert_input_error(status, capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("f0_GHz", [3.7464]),
+        ("C_C_fF", [727.7]),
+        ("loss", {"value": 920e-6}),
+    ])
+    def test_device_table_field_of_wrong_json_type(self, tmp_path, capsys, field, value):
+        doc = json.loads((Path(resloss.__file__).parent / "data" / "table1.json").read_text())
+        doc["devices"][0][field] = value
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(doc))
+        status = run("extract", "--input", table, "--out", tmp_path / "ext")
+        self.assert_input_error(status, capsys)
+
+    def test_device_table_entry_not_an_object(self, tmp_path, capsys):
+        doc = json.loads((Path(resloss.__file__).parent / "data" / "table1.json").read_text())
+        doc["devices"][0] = ["LE_PPC", 3.7464]
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(doc))
+        status = run("extract", "--input", table, "--out", tmp_path / "ext")
+        self.assert_input_error(status, capsys)
+
+    def test_fit_report_value_of_wrong_json_type(self, tmp_path, capsys):
+        report = tmp_path / "fit_tls.json"
+        report.write_text(json.dumps({"params": {"f_tan_delta0": [9.2e-4]}}))
+        status = run("extract", "--input", "table1", "--ppc-fit", report,
+                     "--out", tmp_path / "ext")
+        self.assert_input_error(status, capsys)
+
+    def test_reference_value_of_wrong_json_type(self, tmp_path, capsys):
+        doc = json.loads((Path(resloss.__file__).parent / "data" / "table1.json").read_text())
+        doc["reference"]["inductor_loss"] = [1.12e-5]
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(doc))
+        status = run("extract", "--input", table, "--out", tmp_path / "ext")
+        self.assert_input_error(status, capsys)
+
+
+class TestImportGuard:
+    def test_no_command_imports_scipy(self, tmp_path):
+        # Every subcommand in one fresh interpreter; scipy is a test-only
+        # dependency and must stay out of the runtime.
+        script = textwrap.dedent("""
+            import json, sys
+            import numpy as np
+            from resloss.cli import main
+
+            truth = {
+                "f0": 3.7464e9, "q_c": 3e3, "phi": 0.05, "f_tan_delta0": 9.2e-4,
+                "n_c": 10.0, "q_hp": 1e6, "temperature": 0.1, "span": 7.5e7,
+                "n_points": 64, "powers": list(np.geomspace(1e-18, 1e-13, 11)),
+            }
+            with open("truth.json", "w") as handle:
+                json.dump(truth, handle)
+            commands = [
+                ["synth", "--input", "truth.json", "--out", "fix"],
+                ["fit-s21", "--input", "fix", "--out", "s21"],
+                ["fit-tls", "--input", "s21/power_sweep.csv", "--out", "tls"],
+                ["extract", "--input", "table1", "--ppc-fit", "tls/fit_tls.json", "--out", "ext"],
+                ["error-map", "--grid", "1e-7:1e-1:11", "--out", "map"],
+            ]
+            statuses = [main(argv) for argv in commands]
+            scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            print(json.dumps({"statuses": statuses, "scipy": scipy}))
+        """)
+        env = {**os.environ, "PYTHONPATH": str(Path(resloss.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result["statuses"] == [EXIT_OK] * 5
+        assert result["scipy"] == []
 
 
 class TestProvenance:

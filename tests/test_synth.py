@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import HBAR, K_B, device_a_truth, resonator_truth
+from helpers import HBAR, K_B, device_a_truth, resonator_truth, three_device_truths
 from resloss import (
     fit_power_sweep,
     fit_resonance,
@@ -65,6 +65,24 @@ class TestResonatorState:
         qis = [s[1] for s in states]
         assert all(np.diff(photons) > 0)
         assert all(np.diff(qis) > 0)
+
+
+    def test_matches_brentq_over_campaign_powers(self):
+        from scipy.optimize import brentq
+
+        for truth in three_device_truths().values():
+            params = truth.tls_params
+            for power in truth.powers:
+                def gap(n):
+                    q_i = 1.0 / total_loss(n, params)
+                    return photon_number(power, truth.f0, q_i, truth.q_c) - n
+
+                n_hi = photon_number(power, truth.f0, truth.q_hp, truth.q_c)
+                expected = n_hi if gap(n_hi) >= 0.0 else brentq(
+                    gap, 0.0, n_hi, xtol=1e-30, rtol=1e-14, maxiter=200)
+                n, q_i = resonator_state(truth, power)
+                assert n == pytest.approx(expected, rel=1e-13, abs=0.0)
+                assert q_i == pytest.approx(1.0 / total_loss(expected, params), rel=1e-13)
 
 
 class TestGenerateS21Sweep:

@@ -30,6 +30,17 @@ def sweep_points(p, n_values, loss_sigma=0.0):
 
 
 class TestThermalFactor:
+    def test_exact_si_constants_equal_scipy(self):
+        import scipy.constants
+
+        import resloss.s21
+        import resloss.tls
+
+        # hbar = h/2pi and k_B as fixed by the 2019 SI, bit for bit
+        assert resloss.s21.hbar == scipy.constants.hbar
+        assert resloss.s21.k_B == scipy.constants.k
+        assert (resloss.tls.hbar, resloss.tls.k_B) == (resloss.s21.hbar, resloss.s21.k_B)
+
     def test_device_a_operating_point(self):
         # independent arithmetic: tanh(hbar*omega/(2 kB T)) = tanh(0.898994)
         expected = math.tanh(HBAR * OMEGA_A / (2 * K_B * 0.1))
