@@ -12,14 +12,11 @@ the single-measurement shortcut remains trustworthy.
 __version__ = "0.1.0"
 
 from .circuit import (
-    ArmScalingModel,
     DesignKind,
     DeviceCircuitModel,
     DeviceRecord,
     LcFit,
-    arm_scaling_eval,
     capacitance_from_frequency,
-    fit_arm_scaling,
     fit_lc,
     resonance_frequency,
 )
@@ -80,14 +77,11 @@ from .tls import (
 __all__ = [
     "__version__",
     # circuit
-    "ArmScalingModel",
     "DesignKind",
     "DeviceCircuitModel",
     "DeviceRecord",
     "LcFit",
-    "arm_scaling_eval",
     "capacitance_from_frequency",
-    "fit_arm_scaling",
     "fit_lc",
     "resonance_frequency",
     # s21

@@ -1,10 +1,9 @@
 """Lumped-element circuit model for loss-extraction resonators.
 
 Covers the series-inductor / parallel-capacitor resonance frequency, the
-capacitive participation ratios that weight each element's TLS loss, linear
-regression of (C, f0) simulation tables to recover the inductor's L and
-stray capacitance, and the affine scaling of both with the number of
-inductor arm pairs.
+capacitive participation ratios that weight each element's TLS loss, and
+linear regression of (C, f0) simulation tables to recover the inductor's L
+and stray capacitance.
 
 All quantities are SI (hertz, farads, henries). File interfaces carrying
 GHz/fF/nH are converted at the boundary (see fileio).
@@ -15,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -75,16 +74,6 @@ class DeviceCircuitModel:
     @property
     def inductor_participation(self) -> float:
         return self.stray_capacitance / self.total_capacitance
-
-
-@dataclass(frozen=True)
-class ArmScalingModel:
-    """Affine dependence of L and stray C on the number of arm pairs N."""
-
-    inductance_offset: float  # H
-    inductance_per_arm: float  # H per arm pair
-    stray_offset: float  # F
-    stray_per_arm: float  # F per arm pair
 
 
 @dataclass(frozen=True)
@@ -193,51 +182,3 @@ def fit_lc(points: Iterable[tuple[float, float]]) -> LcFit:
     resid = y - (slope * cap + intercept)
     rms = float(np.sqrt(np.mean(resid**2)))
     return LcFit(inductance=float(inductance), stray_capacitance=float(stray), residual_rms=rms)
-
-
-def arm_scaling_eval(scaling: ArmScalingModel, arm_pairs: int) -> tuple[float, float]:
-    """(L, C_stray) of an inductor with the given number of arm pairs."""
-    if arm_pairs < 0:
-        raise InvalidModelError(f"arm_pairs must be >= 0, got {arm_pairs}")
-    inductance = scaling.inductance_offset + scaling.inductance_per_arm * arm_pairs
-    stray = scaling.stray_offset + scaling.stray_per_arm * arm_pairs
-    if inductance <= 0.0:
-        raise NonphysicalFitError(
-            f"scaling gives non-positive inductance {inductance:.6g} H at N={arm_pairs}"
-        )
-    if stray < 0.0:
-        raise NonphysicalFitError(
-            f"scaling gives negative stray capacitance {stray:.6g} F at N={arm_pairs}"
-        )
-    return inductance, stray
-
-
-def fit_arm_scaling(rows: Sequence[tuple[int, float, float]]) -> ArmScalingModel:
-    """Fit the per-arm scaling from (N, L, C_stray) rows.
-
-    Two independent linear fits (L vs N and C_stray vs N); any residual
-    N-dependent correction from the simulated geometry is absorbed into
-    the per-arm slopes.
-    """
-    if len(rows) < 2:
-        raise UnderdeterminedError("need at least 2 (N, L, C_stray) rows")
-    n = np.array([float(r[0]) for r in rows])
-    if np.unique(n).size < 2:
-        raise UnderdeterminedError("need at least 2 distinct N values")
-    inductance = np.array([float(r[1]) for r in rows])
-    stray = np.array([float(r[2]) for r in rows])
-
-    design = np.column_stack([n, np.ones_like(n)])
-    l_slope, l_off = np.linalg.lstsq(design, inductance, rcond=None)[0]
-    c_slope, c_off = np.linalg.lstsq(design, stray, rcond=None)[0]
-
-    scaling = ArmScalingModel(
-        inductance_offset=float(l_off),
-        inductance_per_arm=float(l_slope),
-        stray_offset=float(c_off),
-        stray_per_arm=float(c_slope),
-    )
-    # The fitted range must stay physical.
-    for n_val in (int(n.min()), int(n.max())):
-        arm_scaling_eval(scaling, n_val)
-    return scaling

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -233,6 +234,11 @@ def _cmd_fit_s21(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _finite(x: float) -> float | None:
+    """x, or None (JSON null) for the infinite q_hp of an unresolved floor."""
+    return x if math.isfinite(x) else None
+
+
 def _cmd_fit_tls(args: argparse.Namespace) -> int:
     if len(args.input) != 1:
         raise ValueError("fit-tls takes exactly one power-sweep input")
@@ -256,14 +262,15 @@ def _cmd_fit_tls(args: argparse.Namespace) -> int:
             "f_tan_delta0": result.params.f_tan_delta0,
             "n_c": result.params.n_c,
             "beta": result.params.beta,
-            "q_hp": result.params.q_hp,
+            "q_hp": _finite(result.params.q_hp),
         },
         "uncertainties": {
             "f_tan_delta0": result.f_tan_delta0_err,
             "n_c": result.n_c_err,
             "beta": result.beta_err,
-            "q_hp": result.q_hp_err,
+            "q_hp": _finite(result.q_hp_err),
         },
+        "q_hp_lower_limit": _finite(result.q_hp_lower_limit),
         "thermal_factor": result.params.thermal_factor,
         "n_c_physical": result.n_c_physical,
         "residual_rms": result.residual_rms,

@@ -15,7 +15,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -220,17 +219,13 @@ def _model_and_jacobian(p, f):
     return model, (d_f0, d_qi, d_qc, d_phi)
 
 
-def fit_resonance(
-    sweep: ComplexSweep,
-    initial_guess: Mapping[str, float] | None = None,
-) -> ResonatorFitResult:
+def fit_resonance(sweep: ComplexSweep) -> ResonatorFitResult:
     """Fit a calibrated sweep (no cable delay, unit baseline).
 
     The same solve as calibrate_and_fit with the calibration fixed at
-    delay 0 and baseline 1. ``initial_guess`` may override any of the
-    starting values f0, q_i, q_c and phi.
+    delay 0 and baseline 1.
     """
-    return _joint_fit(sweep, 0.0, 1.0 + 0.0j, initial_guess)[0]
+    return _joint_fit(sweep, 0.0, 1.0 + 0.0j)[0]
 
 
 def calibrate_and_fit(
@@ -250,10 +245,10 @@ def calibrate_and_fit(
     iteration cap is hit (carrying the best iterate), and OutOfSpanError
     when the resonance converges onto the edge of the swept range.
     """
-    return _joint_fit(sweep, delay, baseline, None)
+    return _joint_fit(sweep, delay, baseline)
 
 
-def _joint_fit(sweep, delay, baseline, initial_guess):
+def _joint_fit(sweep, delay, baseline):
     """One least-squares solve in transmission space.
 
     The residual is the complex misfit of the dressed model to the raw
@@ -280,11 +275,6 @@ def _joint_fit(sweep, delay, baseline, initial_guess):
         raise FitFailureError("no resonance feature detected in the sweep")
 
     f0_0, qi_0, qc_0, phi_0 = _initial_guess(f, z_inv)
-    if initial_guess:
-        f0_0 = float(initial_guess.get("f0", f0_0))
-        qi_0 = float(initial_guess.get("q_i", qi_0))
-        qc_0 = float(initial_guess.get("q_c", qc_0))
-        phi_0 = float(initial_guess.get("phi", phi_0))
     # Q_i and Q_c are fitted as logarithms: on overcoupled sweeps Q_i
     # spans decades within its error, and the log keeps the steps even.
     p0 = [
@@ -339,7 +329,6 @@ def _joint_fit(sweep, delay, baseline, initial_guess):
         np.array(p0),
         jac=jacobian,
         bounds=(lower, upper),
-        x_scale="jac",
         ftol=_FTOL,
         xtol=_FTOL,
         gtol=_FTOL,
@@ -373,18 +362,18 @@ class LeastSquaresResult:
     success: bool  # a tolerance was met within max_nfev
 
 
-def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf), x_scale="jac", ftol=1e-8,
-                  xtol=1e-8, gtol=1e-8, max_nfev=200) -> LeastSquaresResult:
+def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf), ftol=1e-8, xtol=1e-8,
+                  gtol=1e-8, max_nfev=200) -> LeastSquaresResult:
     """Minimize 0.5*||fun(x)||^2 within box bounds by Levenberg-Marquardt.
 
     Each step solves (J^T J + mu*D^2) dx = -J^T r (Marquardt 1963; More,
-    Lecture Notes in Mathematics 630, 1978). D is 1/x_scale, or for
-    x_scale="jac" the running maximum of the Jacobian's column norms, so
-    the step does not depend on the units of the parameters. The system
-    is solved through the eigendecomposition of the scaled J^T J, or
-    through the SVD of the scaled Jacobian when J^T J is too
-    ill-conditioned to keep its small eigenvalues. The damping mu follows
-    the gain ratio of actual to predicted cost reduction (Nielsen 1999).
+    Lecture Notes in Mathematics 630, 1978). D is the running maximum of
+    the Jacobian's column norms, so the step does not depend on the units
+    of the parameters. The system is solved through the eigendecomposition
+    of the scaled J^T J, or through the SVD of the scaled Jacobian when
+    J^T J is too ill-conditioned to keep its small eigenvalues. The damping
+    mu follows the gain ratio of actual to predicted cost reduction
+    (Nielsen 1999).
     A step is also refused when the nonlinear part of its residual change
     outweighs both the linear part J*dx and half the current residual,
     since the linear model does not describe that step. A step that
@@ -403,17 +392,13 @@ def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf), x_scale="jac", ftol=1e
     nfev = 1
     cost = 0.5 * float(r @ r)
     J = jac(x)
-    fixed_scale = None if isinstance(x_scale, str) else 1.0 / np.asarray(x_scale, dtype=float)
     scale = np.zeros(x.size)
     mu, nu = 1e-3, 2.0
     success = False
     while not success and nfev < max_nfev:
         A = J.T @ J
         g = J.T @ r
-        if fixed_scale is None:
-            scale = np.maximum(scale, np.sqrt(np.diag(A)))
-        else:
-            scale = fixed_scale
+        scale = np.maximum(scale, np.sqrt(np.diag(A)))
         free = (scale > 0.0) & ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
         if np.all(np.abs(g[free]) <= gtol * scale[free]):
             success = True

@@ -8,8 +8,8 @@ saturates with mean photon number n as
 
 where F*tan_delta0 is the zero-power, zero-temperature TLS loss (filling
 factor included), n_c the critical photon number and beta is usually close
-to 0.5. Fitting is done in log-loss space because measured losses span
-decades.
+to 0.5. At fixed (n_c, beta) the loss is linear in (F*tan_delta0, 1/Q_HP),
+which the power-sweep fit solves exactly at every step.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FitFailureError, IllConditionedFitError
-from .s21 import hbar, k_B, least_squares, one_sigma_errors
+from .s21 import LeastSquaresResult, hbar, k_B, least_squares, one_sigma_errors
 
 _MAX_ITER = 200
 _FTOL = 1e-14
@@ -101,38 +101,42 @@ def total_loss(photons, params: TlsLossParams):
 
 @dataclass(frozen=True)
 class TlsFitResult:
-    """Power-sweep fit output with one-sigma parameter uncertainties."""
+    """Power-sweep fit output with one-sigma parameter uncertainties.
+
+    A floor the sweep does not resolve comes back as q_hp = q_hp_err = inf;
+    q_hp_lower_limit then still bounds it from below.
+    """
 
     params: TlsLossParams
     f_tan_delta0_err: float
     n_c_err: float
     q_hp_err: float
     beta_err: float
-    residual_rms: float  # RMS of log-loss misfit
+    residual_rms: float  # RMS of the sigma-normalised loss misfit
     n_c_physical: bool  # False when the photon axis was fractional n/n_c
-    nfev: int  # model evaluations of the solver, over every restart
+    nfev: int  # model evaluations of the solver
+    q_hp_lower_limit: float  # one-sided 95% lower limit, 1/(1/q_hp + 1.645 sigma(1/q_hp))
 
 
-def _profile_n_c(n, loss, th, beta, candidates):
-    """Best (n_c, f_tan_delta0, 1/q_hp) over a candidate grid.
+def _nonneg_solve(design, target):
+    """Least-squares coefficients >= 0 of a two-column design.
 
-    At fixed n_c and beta the model is linear in (f_tan_delta0, 1/q_hp),
-    so each candidate costs one 2x2 least-squares solve.
+    When the unconstrained solution has a negative coefficient the optimum
+    lies on a face of the positive quadrant, so the better of the two
+    one-column fits (each clipped at zero) is exact.
     """
+    coef = np.linalg.lstsq(design, target, rcond=None)[0]
+    if np.all(coef >= 0.0):
+        return coef
     best = None
-    logy = np.log(loss)
-    for n_c in candidates:
-        g = th / (1.0 + n / n_c) ** beta
-        design = np.column_stack([g, np.ones_like(g)])
-        (a, b), *_ = np.linalg.lstsq(design, loss, rcond=None)
-        a = max(a, 0.0)
-        b = max(b, 1e-30)
-        model = a * g + b
-        score = float(np.sum((np.log(model) - logy) ** 2))
-        if best is None or score < best[0]:
-            best = (score, n_c, a, b)
-    _, n_c, a, b = best
-    return n_c, a, b
+    for k in range(2):
+        col = design[:, k]
+        trial = np.zeros(2)
+        trial[k] = max(float(col @ target) / float(col @ col), 0.0)
+        cost = float(np.sum((design @ trial - target) ** 2))
+        if best is None or cost < best[0]:
+            best = (cost, trial)
+    return best[1]
 
 
 def fit_power_sweep(
@@ -146,12 +150,16 @@ def fit_power_sweep(
 ) -> TlsFitResult:
     """Fit the saturable loss model to a photon-number sweep.
 
-    Weighted nonlinear least squares on log(loss); weights come from the
-    per-point uncertainties when every point carries one, otherwise the
-    fit is unweighted. The thermal tanh factor is evaluated from
-    (omega0, temperature), never fitted. ``beta`` is held fixed unless
-    ``free_beta`` is set. With ``fractional`` the photon axis is n/n_c,
-    n_c is pinned to 1 and flagged non-physical in the result.
+    Weighted least squares on the loss itself, by variable projection
+    (Golub & Pereyra 1973): at fixed (n_c, beta) the model is linear in
+    (F*tan_delta0, 1/q_hp), which an exact non-negative solve supplies at
+    every evaluation, so the solver only sees ln n_c and, when free, beta.
+    Residuals are divided by the per-point uncertainties when every point
+    carries one, otherwise by the measured loss (a relative misfit). The
+    thermal tanh factor is evaluated from (omega0, temperature), never
+    fitted. ``beta`` is held fixed unless ``free_beta`` is set. With
+    ``fractional`` the photon axis is n/n_c, n_c is pinned to 1 and flagged
+    non-physical in the result.
 
     Raises IllConditionedFitError when the sweep lacks either the
     unsaturated low-power regime or the saturated high-power regime, and
@@ -171,110 +179,104 @@ def fit_power_sweep(
         raise ValueError("points must span at least two decades of photon number")
 
     th = thermal_factor(omega0, temperature)
-    # Relative log-space weights; only meaningful when every point has one.
-    if np.all(sig > 0.0):
-        w = sig / y
-    else:
-        w = np.ones_like(y)
-
+    s = sig if np.all(sig > 0.0) else y
+    target = y / s
     fit_n_c = not fractional
-    candidates = np.geomspace(n_lo / 10.0, n_hi * 10.0, 25) if fit_n_c else [1.0]
-    n_c0, ftd0, b0 = _profile_n_c(n, y, th, beta, candidates)
-
-    # The profiled floor can collapse to zero when the sweep barely reaches
-    # saturation; restart from a few floor guesses anchored to the lowest
-    # measured loss and keep the best converged fit.
-    floor_starts = [0.5 * y.min(), 0.02 * y.min()]
-    if b0 > 1e-6 * y.min():
-        floor_starts.insert(0, min(b0, y.max()))
-
-    # Parameter layout: [f_tan_delta0, ln n_c?, ln q_hp, beta?]
-    lo = [0.0]
-    hi = [10.0 * max(y.max() / th, ftd0)]
-    scale = [max(ftd0, 0.1 * y.max() / th)]
-    if fit_n_c:
-        lo.append(math.log(n_lo) - 12.0)
-        hi.append(math.log(n_hi) + 12.0)
-        scale.append(1.0)
-    lo.append(math.log(1.0 / y.max()) - 12.0)
-    hi.append(120.0)
-    scale.append(1.0)
-    if free_beta:
-        lo.append(1e-3)
-        hi.append(1.0)
-        scale.append(0.25)
+    # Columns of the full Jacobian: [f_tan_delta0, ln n_c?, 1/q_hp, beta?];
+    # the solver's parameters u are the nonlinear ones, [ln n_c?, beta?].
+    linear = [0, 1 + fit_n_c]
+    nonlinear = [k for k in range(2 + fit_n_c + free_beta) if k not in linear]
 
     def unpack(u):
-        ftd = u[0]
-        i = 1
+        return (math.exp(u[0]) if fit_n_c else 1.0), (u[-1] if free_beta else beta)
+
+    def project(u):
+        """Residuals, linear coefficients and full Jacobian at u."""
+        nc, b = unpack(u)
+        x = n / nc
+        design = np.column_stack([th / (1.0 + x) ** b, np.ones_like(x)]) / s[:, None]
+        coef = _nonneg_solve(design, target)
+        tls = coef[0] * design[:, 0]
+        cols = [design[:, 0]]
         if fit_n_c:
-            nc = math.exp(u[i])
-            i += 1
-        else:
-            nc = 1.0
-        qhp = math.exp(u[i])
-        i += 1
-        b = u[i] if free_beta else beta
-        return ftd, nc, qhp, b
-
-    logy = np.log(y)
-
-    def residuals(u):
-        ftd, nc, qhp, b = unpack(u)
-        model = th * ftd / (1.0 + n / nc) ** b + 1.0 / qhp
-        return (np.log(model) - logy) / w
+            cols.append(b * tls * x / (1.0 + x))
+        cols.append(design[:, 1])
+        if free_beta:
+            cols.append(-tls * np.log1p(x))
+        return design @ coef - target, coef, np.column_stack(cols)
 
     def jacobian(u):
-        ftd, nc, qhp, b = unpack(u)
-        sat = 1.0 + n / nc
-        g = th / sat**b
-        tls = ftd * g
-        cols = [g]
-        if fit_n_c:
-            cols.append(b * tls * (n / nc) / sat)
-        cols.append(np.full_like(n, -1.0 / qhp))
-        if free_beta:
-            cols.append(-tls * np.log(sat))
-        return np.column_stack(cols) / ((tls + 1.0 / qhp) * w)[:, None]
+        # Kaufman (1975): the nonlinear columns projected orthogonal to the
+        # linear columns that are not held at zero.
+        _, coef, jac = project(u)
+        basis = jac[:, linear][:, coef > 0.0]
+        varying = jac[:, nonlinear]
+        return varying - basis @ np.linalg.lstsq(basis, varying, rcond=None)[0]
 
-    res = None
-    nfev = 0
-    for floor in floor_starts:
-        p0 = [ftd0]
-        if fit_n_c:
-            p0.append(math.log(n_c0))
-        p0.append(min(math.log(1.0 / floor), 119.0))
-        if free_beta:
-            p0.append(beta)
-        attempt = least_squares(
-            residuals,
-            np.asarray(p0),
+    # Seed: the best of a 25-point ln n_c grid spanning the sampled photon
+    # numbers a decade beyond each end.
+    starts = np.empty((1, 0))
+    if fit_n_c:
+        starts = np.log(np.geomspace(n_lo / 10.0, n_hi * 10.0, 25))[:, None]
+    if free_beta:
+        starts = np.column_stack([starts, np.full(len(starts), beta)])
+    u0 = min(starts, key=lambda u: float(np.sum(project(u)[0] ** 2)))
+
+    if u0.size:
+        lo = ([math.log(n_lo) - 12.0] if fit_n_c else []) + ([1e-3] if free_beta else [])
+        hi = ([math.log(n_hi) + 12.0] if fit_n_c else []) + ([1.0] if free_beta else [])
+        res = least_squares(
+            lambda u: project(u)[0],
+            u0,
             jac=jacobian,
             bounds=(np.asarray(lo), np.asarray(hi)),
-            x_scale=np.asarray(scale),
             ftol=_FTOL,
             xtol=_FTOL,
             gtol=_FTOL,
-            max_nfev=_MAX_ITER * (len(p0) + 1),
+            max_nfev=_MAX_ITER * (u0.size + 1),
         )
-        nfev += attempt.nfev
-        # A converged attempt beats any non-converged one, whatever its cost.
-        if res is None or (attempt.success, -attempt.cost) > (res.success, -res.cost):
-            res = attempt
-        if res.success and res.cost <= 1e-24:
-            break
+        u, nfev, success = res.x, res.nfev, res.success
+    else:
+        u, nfev, success = u0, 1, True
 
-    ftd_hat, nc_hat, qhp_hat, beta_hat = unpack(res.x)
-    result = _build_result(
-        res, ftd_hat, nc_hat, qhp_hat, beta_hat, omega0, temperature, fit_n_c, free_beta, nfev
+    r, coef, jac = project(u)
+    full = np.empty(jac.shape[1])
+    full[linear], full[nonlinear] = coef, u
+    err = one_sigma_errors(LeastSquaresResult(
+        x=full, fun=r, jac=jac, cost=0.5 * float(r @ r), nfev=nfev, success=success))
+    ftd_hat, inv_qhp = coef
+    inv_qhp_err = float(err[linear[1]])
+    nc_hat, beta_hat = unpack(u)
+    if inv_qhp > 0.0:
+        qhp_hat, qhp_err = 1.0 / inv_qhp, inv_qhp_err / inv_qhp**2
+    else:
+        qhp_hat, qhp_err = math.inf, math.inf
+    bound = inv_qhp + 1.645 * inv_qhp_err
+    result = TlsFitResult(
+        params=TlsLossParams(
+            f_tan_delta0=float(ftd_hat),
+            n_c=float(nc_hat),
+            beta=float(beta_hat),
+            q_hp=float(qhp_hat),
+            omega0=float(omega0),
+            temperature=float(temperature),
+        ),
+        f_tan_delta0_err=float(err[0]),
+        n_c_err=float(nc_hat * err[1]) if fit_n_c else 0.0,
+        q_hp_err=float(qhp_err),
+        beta_err=float(err[-1]) if free_beta else 0.0,
+        residual_rms=float(np.sqrt(np.mean(r**2))),
+        n_c_physical=fit_n_c,
+        nfev=int(nfev),
+        q_hp_lower_limit=float(1.0 / bound) if bound > 0.0 else math.inf,
     )
-    if not res.success:
+    if not success:
         raise FitFailureError("power-sweep fit did not converge", best=result)
 
     # A critical photon number far outside the sampled range means one
     # saturation regime was never measured and the parameters are
     # degenerate. Skip the check when the TLS term is absent altogether.
-    if fit_n_c and ftd_hat * th > 1e-6 / qhp_hat:
+    if fit_n_c and ftd_hat * th > 1e-6 * inv_qhp:
         if nc_hat < n_lo / 10.0:
             raise IllConditionedFitError(
                 "all points lie in the TLS-saturated regime; the low-power "
@@ -288,36 +290,3 @@ def fit_power_sweep(
                 missing_regime="high-power",
             )
     return result
-
-
-def _build_result(res, ftd, nc, qhp, beta_hat, omega0, temperature,
-                  fit_n_c, free_beta, nfev):
-    err = one_sigma_errors(res)
-
-    i = 1
-    nc_err = 0.0
-    if fit_n_c:
-        nc_err = nc * err[i]
-        i += 1
-    qhp_err = qhp * err[i]
-    i += 1
-    beta_err = err[i] if free_beta else 0.0
-
-    params = TlsLossParams(
-        f_tan_delta0=float(ftd),
-        n_c=float(nc),
-        beta=float(beta_hat),
-        q_hp=float(qhp),
-        omega0=float(omega0),
-        temperature=float(temperature),
-    )
-    return TlsFitResult(
-        params=params,
-        f_tan_delta0_err=float(err[0]),
-        n_c_err=float(nc_err),
-        q_hp_err=float(qhp_err),
-        beta_err=float(beta_err),
-        residual_rms=float(np.sqrt(np.mean(res.fun**2))),
-        n_c_physical=fit_n_c,
-        nfev=int(nfev),
-    )

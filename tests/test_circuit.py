@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resloss import (
-    ArmScalingModel,
     DesignKind,
     DeviceCircuitModel,
     DeviceRecord,
@@ -14,9 +13,7 @@ from resloss import (
     InvalidModelError,
     NonphysicalFitError,
     UnderdeterminedError,
-    arm_scaling_eval,
     capacitance_from_frequency,
-    fit_arm_scaling,
     fit_lc,
     resonance_frequency,
 )
@@ -153,41 +150,6 @@ class TestFitLc:
             fit = fit_lc(list(zip(caps, noisy)))
             worst = max(worst, abs(fit.inductance - truth_l) / truth_l)
         assert worst < 50 * eps
-
-
-class TestArmScaling:
-    def test_offsets_at_zero_arms(self):
-        scaling = ArmScalingModel(0.5e-9, 0.11e-9, 10e-15, 3e-15)
-        assert arm_scaling_eval(scaling, 0) == (0.5e-9, 10e-15)
-
-    def test_affine_at_ten_arms(self):
-        scaling = ArmScalingModel(0.5e-9, 0.11e-9, 10e-15, 3e-15)
-        l, cl = arm_scaling_eval(scaling, 10)
-        assert l == pytest.approx(1.6e-9, rel=1e-12)
-        assert cl == pytest.approx(40e-15, rel=1e-12)
-
-    def test_fit_through_two_rows_is_exact(self):
-        scaling = ArmScalingModel(0.4e-9, 0.12e-9, 8e-15, 2.5e-15)
-        rows = [(n, *arm_scaling_eval(scaling, n)) for n in (7, 17)]
-        fitted = fit_arm_scaling(rows)
-        for n in (7, 13, 17):
-            assert arm_scaling_eval(fitted, n) == pytest.approx(
-                arm_scaling_eval(scaling, n), rel=1e-9
-            )
-
-    def test_nonpositive_inductance_rejected(self):
-        scaling = ArmScalingModel(0.1e-9, -0.05e-9, 10e-15, 0.0)
-        with pytest.raises(NonphysicalFitError):
-            arm_scaling_eval(scaling, 10)
-
-    def test_negative_arm_count_rejected(self):
-        scaling = ArmScalingModel(0.5e-9, 0.1e-9, 10e-15, 1e-15)
-        with pytest.raises(InvalidModelError):
-            arm_scaling_eval(scaling, -1)
-
-    def test_fit_needs_distinct_rows(self):
-        with pytest.raises(UnderdeterminedError):
-            fit_arm_scaling([(7, 1e-9, 1e-15), (7, 2e-9, 2e-15)])
 
 
 class TestParticipation:

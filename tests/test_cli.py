@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import resloss
+from helpers import three_device_truths
 from resloss.cli import (
     EXIT_EXTRACTION,
     EXIT_FIT,
@@ -18,7 +20,13 @@ from resloss.cli import (
     main,
 )
 from resloss.fileio import read_power_sweep, write_device_table, write_power_sweep
-from resloss import DesignKind, DeviceCircuitModel, DeviceRecord, PowerSweepPoint
+from resloss import (
+    DesignKind,
+    DeviceCircuitModel,
+    DeviceRecord,
+    PowerSweepPoint,
+    generate_power_sweep,
+)
 
 
 def run(*args):
@@ -113,6 +121,22 @@ class TestPipeline:
                    "--out", tls_dir) == EXIT_OK
         tls = json.loads((tls_dir / "fit_tls.json").read_text())
         assert abs(tls["params"]["f_tan_delta0"] - 9.2e-4) / 9.2e-4 < 1e-6
+
+    def test_fit_tls_unresolved_floor_is_null(self, tmp_path):
+        truth = three_device_truths(n_powers=21, loss_rel_sigma=0.02, seed=10)["ppc"]
+        path = tmp_path / "power.csv"
+        write_power_sweep(path, generate_power_sweep(truth), f0=truth.f0,
+                          temperature=truth.temperature)
+        assert run("fit-tls", "--input", path, "--out", tmp_path / "tls") == EXIT_OK
+
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        tls = json.loads((tmp_path / "tls" / "fit_tls.json").read_text(), parse_constant=reject)
+        assert tls["params"]["q_hp"] is None
+        assert tls["uncertainties"]["q_hp"] is None
+        limit = tls["q_hp_lower_limit"]
+        assert isinstance(limit, float) and 0.0 < limit < math.inf
 
     def test_fit_tls_ill_conditioned_exit(self, tmp_path):
         points = [PowerSweepPoint(float(n), 1e-6 + 1e-4 / (1 + n / 1e-3) ** 0.5)

@@ -167,14 +167,6 @@ class TestFitResonance:
         fit = fit_resonance(model_sweep(4.5548e9, q_i, 3e4, 0.1))
         assert fit.loss == pytest.approx(8.42e-6, rel=1e-6)
 
-    def test_initial_guess_override_accepted(self):
-        f0, q_i, q_c, phi = 4.5548e9, 1.19e5, 3e4, 0.1
-        sweep = model_sweep(f0, q_i, q_c, phi)
-        fit = fit_resonance(sweep, initial_guess={
-            "f0": f0 * (1 + 1e-6), "q_i": 8e4, "q_c": 5e4, "phi": 0.0,
-        })
-        assert fit.q_i == pytest.approx(q_i, rel=1e-6)
-
     def test_flat_sweep_raises(self):
         f = np.linspace(4.4e9, 4.6e9, 64)
         flat = ComplexSweep(f, np.ones(64, dtype=complex), 1e-15, 0.1)

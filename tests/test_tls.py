@@ -1,17 +1,18 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import HBAR, K_B
+from helpers import HBAR, K_B, three_device_truths
 from resloss import (
-    FitFailureError,
     IllConditionedFitError,
     PowerSweepPoint,
     TlsLossParams,
     fit_power_sweep,
+    generate_power_sweep,
     thermal_factor,
     tls_loss,
     total_loss,
@@ -210,27 +211,37 @@ class TestFitPowerSweep:
         with pytest.raises(ValueError):
             fit_power_sweep(pts, OMEGA_A, 0.1)
 
-    def test_converged_restart_beats_lower_cost_failure(self, monkeypatch):
-        import resloss.tls as tls_module
+    def test_unresolved_floor_is_infinite(self):
+        # The PPC sweep of this seed puts the best non-negative floor at
+        # 1/q_hp = 0; the fit says so instead of a huge finite q_hp.
+        truth = three_device_truths(n_powers=21, loss_rel_sigma=0.02, seed=10)["ppc"]
+        fit = fit_power_sweep(generate_power_sweep(truth), 2 * math.pi * truth.f0,
+                              truth.temperature)
+        assert fit.params.q_hp == math.inf
+        assert fit.q_hp_err == math.inf
+        assert 0.0 < fit.q_hp_lower_limit < math.inf
+        assert fit.params.f_tan_delta0 == pytest.approx(9.2e-4, abs=3 * fit.f_tan_delta0_err)
 
-        real = tls_module.least_squares
-        attempts = []
 
-        def scripted(*args, **kwargs):
-            res = real(*args, **kwargs)
-            if attempts:  # every restart after the first fails, at a lower cost
-                res.success = False
-                res.cost = 0.0
-            attempts.append(res)
-            return res
-
-        monkeypatch.setattr(tls_module, "least_squares", scripted)
-        p = params()
-        n = np.geomspace(1e-2, 1e4, 25)
-        rng = np.random.Generator(np.random.Philox(key=np.array([5, 5], dtype=np.uint64)))
-        noisy = total_loss(n, p) * (1.0 + 0.02 * rng.standard_normal(n.size))
-        pts = [PowerSweepPoint(float(x), float(y)) for x, y in zip(n, noisy)]
-        fit = fit_power_sweep(pts, OMEGA_A, 0.1)
-        assert len(attempts) >= 2
-        assert attempts[0].success
-        assert fit.params.f_tan_delta0 == attempts[0].x[0]
+class TestSeededCoverage:
+    @pytest.mark.parametrize("free_beta", [False, True])
+    def test_pulls_on_three_devices(self, free_beta):
+        start = time.perf_counter()
+        pulls = {name: ([], []) for name in ("ppc", "idc", "cpw")}
+        for seed in range(50):
+            truths = three_device_truths(n_powers=21, loss_rel_sigma=0.02, seed=seed)
+            for name, truth in truths.items():
+                fit = fit_power_sweep(generate_power_sweep(truth), 2 * math.pi * truth.f0,
+                                      truth.temperature, free_beta=free_beta)
+                if math.isinf(fit.params.q_hp):
+                    assert math.isfinite(fit.q_hp_lower_limit), (name, seed)
+                else:
+                    assert 0.0 < fit.q_hp_err < math.inf, (name, seed)
+                ftd, n_c = pulls[name]
+                ftd.append((fit.params.f_tan_delta0 - truth.f_tan_delta0) / fit.f_tan_delta0_err)
+                n_c.append((fit.params.n_c - truth.n_c) / fit.n_c_err)
+        elapsed = time.perf_counter() - start
+        for name, (ftd, n_c) in pulls.items():
+            assert 0.8 <= np.std(ftd) <= 1.25, (name, np.std(ftd))
+            assert 0.8 <= np.std(n_c) <= 1.25, (name, np.std(n_c))
+        assert elapsed < 5.0
