@@ -180,6 +180,10 @@ def _cmd_fit_s21(args: argparse.Namespace) -> int:
         fixed_baseline = complex(float(re_s), float(im_s or 0.0))
     paths = _expand_sweep_inputs(args.input)
     sweeps = [fileio.read_sweep(p) for p in paths]  # parse everything first
+    temperatures = sorted({sweep.temperature for sweep in sweeps})
+    if len(temperatures) > 1:
+        raise ValueError(f"sweeps at several temperatures {temperatures} K; "
+                         "fit-s21 takes sweeps at one temperature")
 
     results = []
     for path, sweep in zip(paths, sweeps):
@@ -225,9 +229,8 @@ def _cmd_fit_s21(args: argparse.Namespace) -> int:
         for _, _, fit, n, *_ in results
     ]
     f0_mean = float(np.mean([fit.f0 for _, _, fit, *_ in results]))
-    temperature = results[0][1].temperature
     fileio.write_power_sweep(
-        out / "power_sweep.csv", points, f0_mean, temperature,
+        out / "power_sweep.csv", points, f0_mean, temperatures[0],
         extra_meta=_csv_provenance_meta(paths),
     )
     print(f"fit-s21: fitted {len(results)} sweeps, wrote {out / 'fit_s21.json'}")
@@ -235,7 +238,7 @@ def _cmd_fit_s21(args: argparse.Namespace) -> int:
 
 
 def _finite(x: float) -> float | None:
-    """x, or None (JSON null) for the infinite q_hp of an unresolved floor."""
+    """x, or None (JSON null) for an infinite value or uncertainty."""
     return x if math.isfinite(x) else None
 
 
@@ -266,8 +269,8 @@ def _cmd_fit_tls(args: argparse.Namespace) -> int:
         },
         "uncertainties": {
             "f_tan_delta0": result.f_tan_delta0_err,
-            "n_c": result.n_c_err,
-            "beta": result.beta_err,
+            "n_c": _finite(result.n_c_err),
+            "beta": _finite(result.beta_err),
             "q_hp": _finite(result.q_hp_err),
         },
         "q_hp_lower_limit": _finite(result.q_hp_lower_limit),
@@ -418,12 +421,12 @@ def _cmd_error_map(args: argparse.Namespace) -> int:
     fileio.atomic_write_text(out / "error_map.csv", "\n".join(lines) + "\n")
 
     boundaries = []
-    for j, curve in enumerate(emap.curves):
-        mags = emap.magnitude[:, j]
-        inside = mags <= emap.threshold
+    mask = emap.measurable_mask
+    for j, (curve, asymptote) in enumerate(zip(emap.curves, emap.asymptotes())):
+        inside = mask[:, j]
         boundaries.append({
             "curve": curve,
-            "asymptote": emap.asymptotes()[j],
+            "asymptote": asymptote,
             "measurable_fraction": float(np.mean(inside)),
             "measurable_min_capacitor_loss": (
                 float(emap.capacitor_loss_grid[inside].min()) if inside.any() else None

@@ -138,7 +138,10 @@ def read_sweep(path: str | Path) -> ComplexSweep:
         lines = lines[1:]
     if not lines:
         raise ValueError(f"{path}: no data rows")
-    data = np.loadtxt(lines, delimiter=",", usecols=(0, 1, 2), ndmin=2)
+    try:
+        data = np.loadtxt(lines, delimiter=",", usecols=(0, 1, 2), ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return ComplexSweep(
         frequencies=data[:, 0],
         s21=data[:, 1] + 1j * data[:, 2],

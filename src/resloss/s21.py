@@ -5,9 +5,10 @@ A side-coupled resonator shows up in inverse transmission as
     1/S21(f) = 1 + (Q_i/Q_c) * exp(i*phi) / (1 + 2i*Q_i*(f - f0)/f0)
 
 which traces a circle of diameter Q_i/Q_c in the complex plane. The
-circle geometry gives deterministic initial guesses. The fit itself is
-done in transmission space, where measurement noise is additive, with
-the cable delay and the complex baseline fitted alongside the resonance.
+circle and the width of the transmission dip give deterministic initial
+guesses. The fit itself is done in transmission space, where
+measurement noise is additive, with the cable delay and the complex
+baseline fitted alongside the resonance.
 """
 
 from __future__ import annotations
@@ -176,32 +177,37 @@ def _estimate_baseline(f: np.ndarray, z: np.ndarray) -> complex:
 
 
 def _initial_guess(f: np.ndarray, z_inv: np.ndarray) -> tuple[float, float, float, float]:
-    """Deterministic starting point (f0, q_i, q_c, phi) in inverse space."""
-    dist = np.abs(z_inv - 1.0)
-    i0 = int(np.argmax(dist))
-    f0 = float(f[i0])
+    """Deterministic starting point (f0, q_i, q_c, phi) of a calibrated sweep.
 
-    # Width of |1/S21 - 1| at 1/sqrt(2) of its peak gives Q_i directly.
-    level = dist[i0] / math.sqrt(2.0)
+    The circle through 1/S21 gives K = (Q_i/Q_c)*exp(i*phi). The dip
+    |1 - S21| = |K| / |1 + K + 2i*Q_i*x| has the loaded width
+    f0*|1 + Re K|/Q_i at 1/sqrt(2) of its peak, which even strongly
+    overcoupled sweeps resolve. Its peak sits up to about tan(phi)/2
+    loaded linewidths off f0, an offset the fit removes.
+    """
+    center, radius = fit_circle(z_inv)
+    diameter = 2.0 * radius
+    phi = float(np.angle(center - 1.0)) if center != 1.0 else 0.0
+
+    dip = np.abs(1.0 - 1.0 / z_inv)
+    i0 = int(np.argmax(dip))
+    f0 = float(f[i0])
+    level = dip[i0] / math.sqrt(2.0)
     f_lo = f[0]
     for i in range(i0, 0, -1):
-        if dist[i - 1] <= level:
-            frac = (dist[i] - level) / (dist[i] - dist[i - 1])
+        if dip[i - 1] <= level:
+            frac = (dip[i] - level) / (dip[i] - dip[i - 1])
             f_lo = f[i] + frac * (f[i - 1] - f[i])
             break
     f_hi = f[-1]
     for i in range(i0, f.size - 1):
-        if dist[i + 1] <= level:
-            frac = (dist[i] - level) / (dist[i] - dist[i + 1])
+        if dip[i + 1] <= level:
+            frac = (dip[i] - level) / (dip[i] - dip[i + 1])
             f_hi = f[i] + frac * (f[i + 1] - f[i])
             break
     width = max(f_hi - f_lo, (f[-1] - f[0]) / (f.size - 1))
-    q_i = f0 / width
-
-    center, radius = fit_circle(z_inv)
-    diameter = 2.0 * radius
+    q_i = f0 * abs(1.0 + diameter * math.cos(phi)) / width
     q_c = q_i / diameter if diameter > 0.0 else q_i
-    phi = float(np.angle(center - 1.0)) if center != 1.0 else 0.0
     return f0, q_i, q_c, phi
 
 
@@ -220,12 +226,8 @@ def _model_and_jacobian(p, f):
 
 
 def fit_resonance(sweep: ComplexSweep) -> ResonatorFitResult:
-    """Fit a calibrated sweep (no cable delay, unit baseline).
-
-    The same solve as calibrate_and_fit with the calibration fixed at
-    delay 0 and baseline 1.
-    """
-    return _joint_fit(sweep, 0.0, 1.0 + 0.0j)[0]
+    """Fit a calibrated sweep: calibrate_and_fit at delay 0 and baseline 1."""
+    return calibrate_and_fit(sweep, 0.0, 1.0 + 0.0j)[0]
 
 
 def calibrate_and_fit(
@@ -238,25 +240,15 @@ def calibrate_and_fit(
     The raw trace is modeled as baseline * exp(-2i*pi*f*delay) * S21.
     A delay or baseline passed in is held fixed; the others are fitted
     together with f0, Q_i, Q_c and phi, seeded from the phase slope and
-    mean level of the outer 10% of points. Returns
-    (fit, delay, baseline).
+    mean level of the outer 10% of points. The residual is the complex
+    misfit of the dressed model to the raw trace, where additive noise is
+    white, so the fit is maximum likelihood for it. The covariance covers
+    every free parameter, so the quoted resonance errors include the
+    calibration uncertainty. Returns (fit, delay, baseline).
 
     Raises FitFailureError when no resonance feature is present or the
     iteration cap is hit (carrying the best iterate), and OutOfSpanError
     when the resonance converges onto the edge of the swept range.
-    """
-    return _joint_fit(sweep, delay, baseline)
-
-
-def _joint_fit(sweep, delay, baseline):
-    """One least-squares solve in transmission space.
-
-    The residual is the complex misfit of the dressed model to the raw
-    trace, where additive noise is white, so the fit is maximum
-    likelihood for it. Free parameters: f0, q_i, q_c, phi, then the delay
-    and ln(baseline) (real and imaginary part) unless fixed. The
-    covariance covers all of them, so the quoted resonance errors include
-    the calibration uncertainty.
     """
     f = sweep.frequencies
     z = sweep.s21
@@ -373,12 +365,8 @@ def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf), ftol=1e-8, xtol=1e-8,
     of the scaled J^T J, or through the SVD of the scaled Jacobian when
     J^T J is too ill-conditioned to keep its small eigenvalues. The damping
     mu follows the gain ratio of actual to predicted cost reduction
-    (Nielsen 1999).
-    A step is also refused when the nonlinear part of its residual change
-    outweighs both the linear part J*dx and half the current residual,
-    since the linear model does not describe that step. A step that
-    leaves the box is clipped onto it, and a parameter held at a bound by
-    its gradient is left out of the step.
+    (Nielsen 1999). A step that leaves the box is clipped onto it, and a
+    parameter held at a bound by its gradient is left out of the step.
 
     Stops with success when the scaled gradient max_j |(J^T r)_j| / D_j
     is <= gtol, when the actual and the predicted relative cost
@@ -422,13 +410,9 @@ def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf), ftol=1e-8, xtol=1e-8,
             nfev += 1
             cost_trial = 0.5 * float(r_trial @ r_trial)
             js = J @ s
-            linear = float(js @ js)
-            predicted = -float(g @ s) - 0.5 * linear
+            predicted = -float(g @ s) - 0.5 * float(js @ js)
             actual = cost - cost_trial
             ratio = actual / predicted if predicted > 0.0 else -1.0
-            nonlinear = float(np.sum((r_trial - r - js) ** 2))
-            if ratio > 1e-4 and nonlinear > max(linear, 0.5 * cost):
-                ratio = -1.0
             success = (
                 math.sqrt(float(np.sum((scale * s) ** 2))) <= xtol * (xtol + x_norm)
                 or (abs(actual) <= ftol * cost and predicted <= ftol * cost and ratio <= 2.0)

@@ -104,7 +104,8 @@ class TlsFitResult:
     """Power-sweep fit output with one-sigma parameter uncertainties.
 
     A floor the sweep does not resolve comes back as q_hp = q_hp_err = inf;
-    q_hp_lower_limit then still bounds it from below.
+    q_hp_lower_limit then still bounds it from below. When F*tan_delta0 is
+    0, n_c_err and (with a free beta) beta_err are inf.
     """
 
     params: TlsLossParams
@@ -245,6 +246,8 @@ def fit_power_sweep(
     err = one_sigma_errors(LeastSquaresResult(
         x=full, fun=r, jac=jac, cost=0.5 * float(r @ r), nfev=nfev, success=success))
     ftd_hat, inv_qhp = coef
+    if ftd_hat == 0.0:
+        err[nonlinear] = math.inf  # without a TLS term the data do not fix n_c or beta
     inv_qhp_err = float(err[linear[1]])
     nc_hat, beta_hat = unpack(u)
     if inv_qhp > 0.0:

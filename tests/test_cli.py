@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import resloss
-from helpers import three_device_truths
+from helpers import model_sweep, three_device_truths
 from resloss.cli import (
     EXIT_EXTRACTION,
     EXIT_FIT,
@@ -19,7 +19,12 @@ from resloss.cli import (
     EXIT_RANGE,
     main,
 )
-from resloss.fileio import read_power_sweep, write_device_table, write_power_sweep
+from resloss.fileio import (
+    read_power_sweep,
+    write_device_table,
+    write_power_sweep,
+    write_sweep,
+)
 from resloss import (
     DesignKind,
     DeviceCircuitModel,
@@ -31,6 +36,11 @@ from resloss import (
 
 def run(*args):
     return main([str(a) for a in args])
+
+
+def reject_constant(constant):
+    """json.loads hook: fail on the non-JSON Infinity and NaN."""
+    raise ValueError(f"non-JSON constant {constant}")
 
 
 class TestSynthCommand:
@@ -128,15 +138,25 @@ class TestPipeline:
         write_power_sweep(path, generate_power_sweep(truth), f0=truth.f0,
                           temperature=truth.temperature)
         assert run("fit-tls", "--input", path, "--out", tmp_path / "tls") == EXIT_OK
-
-        def reject(constant):
-            raise ValueError(f"non-JSON constant {constant}")
-
-        tls = json.loads((tmp_path / "tls" / "fit_tls.json").read_text(), parse_constant=reject)
+        tls = json.loads((tmp_path / "tls" / "fit_tls.json").read_text(),
+                         parse_constant=reject_constant)
         assert tls["params"]["q_hp"] is None
         assert tls["uncertainties"]["q_hp"] is None
         limit = tls["q_hp_lower_limit"]
         assert isinstance(limit, float) and 0.0 < limit < math.inf
+
+    def test_fit_tls_flat_sweep_has_null_n_c_error(self, tmp_path):
+        # No TLS signal: F*tan_delta0 = 0 leaves n_c and beta undetermined.
+        points = [PowerSweepPoint(float(n), 1e-6) for n in np.geomspace(1e-2, 1e4, 10)]
+        path = tmp_path / "power.csv"
+        write_power_sweep(path, points, f0=4.5e9, temperature=0.1)
+        for beta in ("fixed", "free"):
+            out = tmp_path / beta
+            assert run("fit-tls", "--input", path, "--beta", beta, "--out", out) == EXIT_OK
+            tls = json.loads((out / "fit_tls.json").read_text(), parse_constant=reject_constant)
+            assert tls["params"]["f_tan_delta0"] == 0.0
+            assert tls["uncertainties"]["n_c"] is None
+            assert (tls["uncertainties"]["beta"] is None) == (beta == "free")
 
     def test_fit_tls_ill_conditioned_exit(self, tmp_path):
         points = [PowerSweepPoint(float(n), 1e-6 + 1e-4 / (1 + n / 1e-3) ** 0.5)
@@ -321,6 +341,21 @@ class TestMalformedInput:
         path.write_text("# f0_GHz = 4.5\n# T_K = 0.1\nphoton_number,loss,loss_sigma\n1e-2\n")
         status = run("fit-tls", "--input", path, "--out", tmp_path / "tls")
         assert str(path) in self.assert_input_error(status, capsys)["message"]
+
+    def test_fit_s21_short_row_names_file(self, tmp_path, capsys):
+        path = tmp_path / "sweep.csv"
+        write_sweep(path, model_sweep(4.5e9, 1e5, 5e4, 0.1))
+        path.write_text(path.read_text() + "4.6e9\n")
+        status = run("fit-s21", "--input", path, "--out", tmp_path / "fits")
+        assert str(path) in self.assert_input_error(status, capsys)["message"]
+
+    def test_fit_s21_rejects_mixed_temperatures(self, tmp_path, capsys):
+        for i, temperature in enumerate((0.1, 0.2)):
+            write_sweep(tmp_path / "in" / f"sweep_{i:03d}.csv",
+                        model_sweep(4.5e9, 1e5, 5e4, 0.1, temperature=temperature))
+        status = run("fit-s21", "--input", tmp_path / "in", "--out", tmp_path / "fits")
+        assert "temperature" in self.assert_input_error(status, capsys)["message"]
+        assert not (tmp_path / "fits").exists()
 
     def test_synth_scalar_baseline(self, tmp_path, capsys):
         truth = {

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import HBAR, model_sweep, resonator_truth
+from helpers import HBAR, model_sweep, resonator_truth, three_device_truths
 from resloss import (
     ComplexSweep,
     FitFailureError,
@@ -15,6 +15,7 @@ from resloss import (
     inverse_s21_model,
     photon_number,
 )
+from resloss.synth import resonator_state
 
 
 class TestComplexSweep:
@@ -228,6 +229,22 @@ class TestCalibrateAndFit:
             fit, _, _ = calibrate_and_fit(generate_s21_sweep(truth, 0))
             pulls.append((fit.q_i - q_i) / fit.q_i_err)
         assert 0.8 <= float(np.std(pulls)) <= 1.25
+
+    @pytest.mark.parametrize("index", [80, 95, 100])
+    def test_overcoupled_seed_has_loaded_width(self, index):
+        # High-power CPW sweeps: Q_i ~ 5e6 against Q_c = 3e4, so the 1/Q_i
+        # wide inverse-space peak is narrower than one point step, while
+        # the S21 dip has the loaded width and seeds both quality factors.
+        from resloss.s21 import _estimate_baseline, _estimate_delay, _initial_guess
+
+        truth = three_device_truths(seed=3)["cpw"]
+        sweep = generate_s21_sweep(truth, index)
+        f, z = sweep.frequencies, sweep.s21
+        z_cal = z * np.exp(2j * np.pi * f * _estimate_delay(f, z))
+        _, q_i, q_c, _ = _initial_guess(f, _estimate_baseline(f, z_cal) / z_cal)
+        assert 0.5 < q_i / resonator_state(truth, truth.powers[index])[1] < 2.0
+        assert q_c == pytest.approx(3e4, rel=0.1)
+        assert calibrate_and_fit(sweep)[0].nfev <= 10
 
     def test_explicit_calibration_skips_refinement(self):
         q_i = 1.19e5

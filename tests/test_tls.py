@@ -178,6 +178,9 @@ class TestFitPowerSweep:
         fit = fit_power_sweep(pts, OMEGA_A, 0.1)
         assert fit.params.f_tan_delta0 < 1e-9
         assert fit.params.q_hp == pytest.approx(1e6, rel=1e-6)
+        # without a TLS term the sweep does not determine n_c or beta
+        assert math.isinf(fit.n_c_err)
+        assert math.isinf(fit_power_sweep(pts, OMEGA_A, 0.1, free_beta=True).beta_err)
 
     def test_fractional_photon_axis(self):
         p = params(n_c=1.0)
