@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import device_a_truth
-from resloss import DesignKind, PowerSweepPoint, generate_s21_sweep
+from resloss import ComplexSweep, DesignKind, PowerSweepPoint, generate_s21_sweep
 from resloss.fileio import (
     atomic_write_json,
     atomic_write_text,
@@ -124,6 +124,61 @@ class TestDeviceTables:
         )
         with pytest.raises(ValueError):
             read_device_table(path)
+
+
+class TestGoldenBytes:
+    """Exact bytes of each table writer on fixed inputs."""
+
+    def test_sweep(self, tmp_path):
+        k = np.arange(16)
+        sweep = ComplexSweep(4.5e9 + 2.5e5 * k, (1.0 - k / 64) + 1j * (k / 8 - 1.0),
+                             power=1e-15, temperature=0.1)
+        path = tmp_path / "sweep.csv"
+        write_sweep(path, sweep, extra_meta={"tool_version": "0.1.0"})
+        rows = "".join(f"{4500000000 + 250000 * i},{re},{im}\n" for i, re, im in zip(
+            k, ["1", "0.984375", "0.96875", "0.953125", "0.9375", "0.921875", "0.90625",
+                "0.890625", "0.875", "0.859375", "0.84375", "0.828125", "0.8125",
+                "0.796875", "0.78125", "0.765625"],
+            ["-1", "-0.875", "-0.75", "-0.625", "-0.5", "-0.375", "-0.25", "-0.125",
+             "0", "0.125", "0.25", "0.375", "0.5", "0.625", "0.75", "0.875"]))
+        assert path.read_bytes() == (
+            "# power_dbm = -120\n"
+            "# temperature_K = 0.10000000000000001\n"
+            "# tool_version = 0.1.0\n"
+            "frequency_hz,re_s21,im_s21\n" + rows
+        ).encode()
+
+    @pytest.mark.parametrize("fractional", [False, True])
+    def test_power_sweep(self, tmp_path, fractional):
+        points = [PowerSweepPoint(0.5, 1e-5, 2e-7), PowerSweepPoint(12.0, 7.5e-6)]
+        path = tmp_path / "power.csv"
+        write_power_sweep(path, points, f0=4.5e9, temperature=0.1, fractional=fractional,
+                          extra_meta={"input_digest_0": "sha256:ab"})
+        assert path.read_bytes() == (
+            "# f0_GHz = 4.5\n"
+            "# T_K = 0.10000000000000001\n"
+            f"# fractional = {'true' if fractional else 'false'}\n"
+            "# input_digest_0 = sha256:ab\n"
+            "photon_number,loss,loss_sigma\n"
+            "0.5,1.0000000000000001e-05,1.9999999999999999e-07\n"
+            "12,7.5000000000000002e-06,0\n"
+        ).encode()
+
+    def test_error_map(self, tmp_path):
+        from resloss import __version__
+        from resloss.cli import main
+
+        assert main(["error-map", "--grid", "1e-6:1e-4:3", "--curves", "1e-5,1e-4",
+                     "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "error_map.csv").read_bytes() == (
+            f"# tool_version = {__version__}\n"
+            "# axis = inductor_loss\n"
+            "# fixed_value = 0.10199999999999999\n"
+            "capacitor_loss,inductor_loss_1.0000000000000001e-05,inductor_loss_0.0001\n"
+            "9.9999999999999995e-07,0.47862356621480701,0.90989367453595238\n"
+            "9.9999999999999991e-06,1.7279472123987727e-17,0.47862356621480712\n"
+            "0.0001,-0.1010790574763268,0\n"
+        ).encode()
 
 
 class TestAtomicWrites:
