@@ -410,15 +410,12 @@ def _cmd_error_map(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     curve_name = "inductor_loss" if axis == error_analysis.AXIS_INDUCTOR_LOSS else "participation"
-    header = ["capacitor_loss"] + [f"{curve_name}_{fileio.fmt(c)}" for c in emap.curves]
-    lines = [f"# tool_version = {__version__}"]
-    lines.append(f"# axis = {axis}")
-    lines.append(f"# fixed_value = {fileio.fmt(emap.fixed_value)}")
-    lines.append(",".join(header))
-    for i, cap in enumerate(emap.capacitor_loss_grid):
-        row = [fileio.fmt(cap)] + [fileio.fmt(v) for v in emap.signed[i]]
-        lines.append(",".join(row))
-    fileio.atomic_write_text(out / "error_map.csv", "\n".join(lines) + "\n")
+    fileio.write_table(
+        out / "error_map.csv",
+        {"tool_version": __version__, "axis": axis, "fixed_value": fileio.fmt(emap.fixed_value)},
+        ["capacitor_loss"] + [f"{curve_name}_{fileio.fmt(c)}" for c in emap.curves],
+        ((cap, *row.tolist()) for cap, row in zip(emap.capacitor_loss_grid, emap.signed)),
+    )
 
     boundaries = []
     mask = emap.measurable_mask

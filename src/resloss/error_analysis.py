@@ -119,6 +119,8 @@ def error_map(
         raise GridRangeError("capacitor loss grid must be non-empty and positive")
     if len(curves) == 0:
         raise ValueError("need at least one curve value")
+    if not np.all(np.isfinite([fixed_value, threshold, *curves])):
+        raise ValueError("fixed value, curves and threshold must be finite")
     if threshold <= 0.0:
         raise ValueError("threshold must be > 0")
 

@@ -44,8 +44,9 @@ class ExtractionInput:
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be > 0, got {value}")
         for name in ("ppc_resonator_loss_err", "idc_resonator_loss_err", "cpw_loss_err"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.ppc_circuit == self.idc_circuit:
             raise ValueError("PPC and IDC devices must carry distinct circuit models")
 

@@ -4,7 +4,9 @@ tables and fit reports.
 Conventions shared by every writer:
   * numeric fields are serialized with 17 significant digits so binary
     floats round-trip losslessly through text;
-  * delimited files carry ``# key = value`` metadata header lines;
+  * delimited files carry ``# key = value`` metadata lines, then a
+    header row and comma-separated cells; ``write_table`` writes every
+    such file and ``_read_table`` parses every one;
   * files are written to a temporary name and atomically renamed, so a
     failure never leaves a truncated output;
   * no timestamps are embedded, so identical inputs give identical bytes.
@@ -12,19 +14,19 @@ Conventions shared by every writer:
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .circuit import DesignKind, DeviceCircuitModel, DeviceRecord
+from .errors import ReslossError
 from .s21 import ComplexSweep
 from .tls import PowerSweepPoint
 
@@ -82,34 +84,66 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def atomic_write_json(path: str | Path, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _split_header(text: str) -> tuple[dict[str, str], list[str]]:
-    """Metadata from ``# key = value`` lines, plus the other non-blank lines."""
+# ---------------------------------------------------------------------------
+# delimited tables
+
+
+@contextmanager
+def _naming_file(path):
+    """Re-raise a bad value or a missing field as a ValueError naming the file."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from None
+    except (ValueError, ReslossError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_table(path: str | Path, dtype=float) -> tuple[dict[str, str], np.ndarray]:
+    """Metadata and cells of a delimited table.
+
+    ``# key = value`` lines are metadata; other ``#`` lines and blank
+    lines are skipped. The first remaining row is a header when its first
+    cell is neither blank nor a number. A numeric table (``dtype=float``)
+    may omit it and loses it; a text table (``dtype=str``) must have it
+    and keeps it as row 0. Cells may be quoted, an unquoted ``#`` starts a
+    comment, and every row needs the same number of cells.
+    """
     meta: dict[str, str] = {}
     lines: list[str] = []
-    for raw in text.splitlines():
+    for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.strip()
-        if not line:
-            continue
         if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
+            key, equals, value = line.lstrip("#").partition("=")
+            if equals:
                 meta[key.strip()] = value.strip()
-            continue
-        lines.append(line)
-    return meta, lines
+        elif line:
+            lines.append(line)
+    first = lines[0].split(",", 1)[0].strip().strip('"') if lines else ""
+    try:
+        float(first or "0")  # a number or a blank cell: no header
+        header = False
+    except ValueError:
+        header = True
+    if dtype is str and not header:
+        raise ValueError("the first row must be a header")
+    if len(lines) <= header:
+        raise ValueError("no data rows")
+    # max_rows bounds the buffer numpy allocates for text cells (50000 rows by default)
+    return meta, np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', ndmin=2,
+                            skiprows=int(header and dtype is float), max_rows=len(lines))
 
 
-def _parse_header_and_rows(text: str) -> tuple[dict[str, str], list[list[str]]]:
-    meta, lines = _split_header(text)
-    return meta, [next(csv.reader([line])) for line in lines]
-
-
-def _meta_lines(meta: dict[str, str]) -> list[str]:
-    return [f"# {key} = {value}" for key, value in meta.items()]
+def write_table(path: str | Path, meta: dict, header: Sequence[str],
+                rows: Iterable[Iterable[float]]) -> None:
+    """Write ``# key = value`` lines, a header row and numeric rows through fmt."""
+    lines = [f"# {key} = {value}" for key, value in meta.items()]
+    lines.append(",".join(header))
+    lines.extend(",".join(map(fmt, row)) for row in rows)
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -120,34 +154,23 @@ def write_sweep(path: str | Path, sweep: ComplexSweep, extra_meta: dict | None =
     meta = {
         "power_dbm": fmt(watts_to_dbm(sweep.power)),
         "temperature_K": fmt(sweep.temperature),
+        **(extra_meta or {}),
     }
-    if extra_meta:
-        meta.update({k: str(v) for k, v in extra_meta.items()})
-    lines = _meta_lines(meta)
-    lines.append("frequency_hz,re_s21,im_s21")
-    for f, z in zip(sweep.frequencies, sweep.s21):
-        lines.append(f"{fmt(f)},{fmt(z.real)},{fmt(z.imag)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_table(path, meta, ["frequency_hz", "re_s21", "im_s21"],
+                zip(sweep.frequencies.tolist(), sweep.s21.real.tolist(), sweep.s21.imag.tolist()))
 
 
 def read_sweep(path: str | Path) -> ComplexSweep:
-    meta, lines = _split_header(Path(path).read_text(encoding="utf-8"))
-    if "power_dbm" not in meta or "temperature_K" not in meta:
-        raise ValueError(f"{path}: missing power_dbm / temperature_K header")
-    if lines and lines[0].lower().startswith("freq"):
-        lines = lines[1:]
-    if not lines:
-        raise ValueError(f"{path}: no data rows")
-    try:
-        data = np.loadtxt(lines, delimiter=",", usecols=(0, 1, 2), ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return ComplexSweep(
-        frequencies=data[:, 0],
-        s21=data[:, 1] + 1j * data[:, 2],
-        power=dbm_to_watts(float(meta["power_dbm"])),
-        temperature=float(meta["temperature_K"]),
-    )
+    with _naming_file(path):
+        meta, data = _read_table(path)
+        if data.shape[1] < 3:
+            raise ValueError("a sweep needs frequency_hz, re_s21 and im_s21 columns")
+        return ComplexSweep(
+            frequencies=data[:, 0],
+            s21=data[:, 1] + 1j * data[:, 2],
+            power=dbm_to_watts(float(meta["power_dbm"])),
+            temperature=float(meta["temperature_K"]),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -166,43 +189,28 @@ def write_power_sweep(
         "f0_GHz": fmt(f0 / GHZ),
         "T_K": fmt(temperature),
         "fractional": "true" if fractional else "false",
+        **(extra_meta or {}),
     }
-    if extra_meta:
-        meta.update({k: str(v) for k, v in extra_meta.items()})
-    lines = _meta_lines(meta)
-    lines.append("photon_number,loss,loss_sigma")
-    for p in points:
-        lines.append(f"{fmt(p.photons)},{fmt(p.loss)},{fmt(p.loss_sigma)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_table(path, meta, ["photon_number", "loss", "loss_sigma"],
+                ((p.photons, p.loss, p.loss_sigma) for p in points))
 
 
 def read_power_sweep(path: str | Path) -> tuple[list[PowerSweepPoint], float, float, bool]:
-    """Returns (points, f0_hz, temperature_K, fractional)."""
-    meta, rows = _parse_header_and_rows(Path(path).read_text(encoding="utf-8"))
-    if "f0_GHz" not in meta or "T_K" not in meta:
-        raise ValueError(f"{path}: missing f0_GHz / T_K header")
-    if rows and rows[0] and rows[0][0].strip().lower().startswith("photon"):
-        rows = rows[1:]
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    points = []
-    for row in rows:
-        if len(row) < 2:
-            raise ValueError(f"{path}: row {row!r} needs photon_number and loss")
-        photons, loss = float(row[0]), float(row[1])
-        sigma = float(row[2]) if len(row) > 2 and row[2].strip() else 0.0
-        points.append(PowerSweepPoint(photons=photons, loss=loss, loss_sigma=sigma))
-    fractional = meta.get("fractional", "false").strip().lower() in ("true", "1", "yes")
-    return points, float(meta["f0_GHz"]) * GHZ, float(meta["T_K"]), fractional
+    """Returns (points, f0_hz, temperature_K, fractional).
+
+    A sweep with two columns has no loss_sigma; its points carry sigma 0.
+    """
+    with _naming_file(path):
+        meta, data = _read_table(path)
+        if data.shape[1] < 2:
+            raise ValueError("a power sweep needs photon_number and loss columns")
+        points = [PowerSweepPoint(*row[:3]) for row in data.tolist()]
+        fractional = meta.get("fractional", "false").strip().lower() in ("true", "1", "yes")
+        return points, float(meta["f0_GHz"]) * GHZ, float(meta["T_K"]), fractional
 
 
 # ---------------------------------------------------------------------------
 # device tables
-
-_TABLE_COLUMNS = [
-    "label", "design", "material", "f0_GHz", "N", "g_c_um",
-    "C_C_fF", "C_L_fF", "L_nH", "loss", "loss_err",
-]
 
 
 def _record_from_fields(fields: dict) -> DeviceRecord:
@@ -248,47 +256,20 @@ def read_device_table(path: str | Path) -> tuple[list[DeviceRecord], dict | None
     """Parse a device table; returns (records, reference block or None).
 
     JSON files hold {"devices": [...], "reference": {...}?}; delimited
-    files use the same column names with empty cells permitted.
+    files have a header row of the same names, and blank cells are
+    permitted.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    if path.suffix.lower() == ".json":
-        doc = json.loads(text)
+    with _naming_file(path):
+        if path.suffix.lower() != ".json":
+            _, table = _read_table(path, dtype=str)
+            header = [cell.strip() for cell in table[0]]
+            return [_record_from_fields(dict(zip(header, row))) for row in table[1:]], None
+        doc = json.loads(path.read_text(encoding="utf-8"))
         devices = doc.get("devices") if isinstance(doc, dict) else None
         reference = doc.get("reference") if isinstance(doc, dict) else None
         if not (isinstance(devices, list) and all(isinstance(d, dict) for d in devices)):
-            raise ValueError(f"{path}: 'devices' must be a list of JSON objects")
+            raise ValueError("'devices' must be a list of JSON objects")
         if not isinstance(reference, (dict, type(None))):
-            raise ValueError(f"{path}: 'reference' must be a JSON object")
+            raise ValueError("'reference' must be a JSON object")
         return [_record_from_fields(entry) for entry in devices], reference
-    meta, rows = _parse_header_and_rows(text)
-    if not rows:
-        raise ValueError(f"{path}: empty device table")
-    header = [c.strip() for c in rows[0]]
-    records = []
-    for row in rows[1:]:
-        fields = dict(zip(header, row))
-        records.append(_record_from_fields(fields))
-    return records, None
-
-
-def write_device_table(path: str | Path, records: Iterable[DeviceRecord]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_TABLE_COLUMNS)
-    for rec in records:
-        circuit = rec.circuit
-        writer.writerow([
-            rec.label,
-            rec.design.value,
-            rec.material,
-            fmt(rec.f0 / GHZ),
-            rec.arm_pairs if rec.arm_pairs is not None else "",
-            fmt(rec.coupling_gap / MICRO) if rec.coupling_gap is not None else "",
-            fmt(circuit.cap_capacitance / FEMTO) if circuit else "",
-            fmt(circuit.stray_capacitance / FEMTO) if circuit else "",
-            fmt(circuit.inductance / NANO) if circuit else "",
-            fmt(rec.loss) if rec.loss is not None else "",
-            fmt(rec.loss_err) if rec.loss_err is not None else "",
-        ])
-    atomic_write_text(path, buf.getvalue())

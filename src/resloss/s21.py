@@ -429,25 +429,25 @@ def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf), ftol=1e-8, xtol=1e-8,
     return LeastSquaresResult(x=x, fun=r, jac=J, cost=cost, nfev=nfev, success=success)
 
 
-def one_sigma_errors(res) -> np.ndarray:
-    """One-sigma errors of the parameters of a least_squares result.
+def one_sigma_errors(jac: np.ndarray, fun: np.ndarray) -> np.ndarray:
+    """One-sigma errors of the parameters from the Jacobian and residuals.
 
     The covariance is s^2 (J^T J)^-1 with s^2 the residual variance.
     Columns are normalized before the inversion: parameters such as f0
     and the delay sit many decades away from the dimensionless ones, and
     the unscaled J^T J can be too ill-conditioned to invert.
     """
-    norms = np.linalg.norm(res.jac, axis=0)
+    norms = np.linalg.norm(jac, axis=0)
     norms[norms == 0.0] = 1.0
-    scaled = res.jac / norms
-    dof = max(res.fun.size - res.x.size, 1)
-    s2 = 2.0 * res.cost / dof
+    scaled = jac / norms
+    dof = max(fun.size - jac.shape[1], 1)
+    s2 = float(fun @ fun) / dof
     cov = np.linalg.pinv(scaled.T @ scaled) / np.outer(norms, norms) * s2
     return np.sqrt(np.maximum(np.diag(cov), 0.0))
 
 
 def _build_result(res, n: int) -> ResonatorFitResult:
-    err = one_sigma_errors(res)
+    err = one_sigma_errors(res.jac, res.fun)
     q_i = math.exp(res.x[1])
     q_c = math.exp(res.x[2])
     return ResonatorFitResult(

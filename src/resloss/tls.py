@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FitFailureError, IllConditionedFitError
-from .s21 import LeastSquaresResult, hbar, k_B, least_squares, one_sigma_errors
+from .s21 import hbar, k_B, least_squares, one_sigma_errors
 
 _MAX_ITER = 200
 _FTOL = 1e-14
@@ -73,12 +73,12 @@ class PowerSweepPoint:
     loss_sigma: float = 0.0
 
     def __post_init__(self):
-        if not self.photons >= 0.0:
-            raise ValueError(f"photons must be >= 0, got {self.photons}")
-        if not self.loss > 0.0:
-            raise ValueError(f"loss must be > 0, got {self.loss}")
-        if not self.loss_sigma >= 0.0:
-            raise ValueError(f"loss_sigma must be >= 0, got {self.loss_sigma}")
+        if not 0.0 <= self.photons < math.inf:
+            raise ValueError(f"photons must be finite and >= 0, got {self.photons}")
+        if not 0.0 < self.loss < math.inf:
+            raise ValueError(f"loss must be finite and > 0, got {self.loss}")
+        if not 0.0 <= self.loss_sigma < math.inf:
+            raise ValueError(f"loss_sigma must be finite and >= 0, got {self.loss_sigma}")
 
 
 def tls_loss(photons, params: TlsLossParams):
@@ -241,10 +241,7 @@ def fit_power_sweep(
         u, nfev, success = u0, 1, True
 
     r, coef, jac = project(u)
-    full = np.empty(jac.shape[1])
-    full[linear], full[nonlinear] = coef, u
-    err = one_sigma_errors(LeastSquaresResult(
-        x=full, fun=r, jac=jac, cost=0.5 * float(r @ r), nfev=nfev, success=success))
+    err = one_sigma_errors(jac, r)
     ftd_hat, inv_qhp = coef
     if ftd_hat == 0.0:
         err[nonlinear] = math.inf  # without a TLS term the data do not fix n_c or beta

@@ -19,23 +19,20 @@ from resloss.cli import (
     EXIT_RANGE,
     main,
 )
-from resloss.fileio import (
-    read_power_sweep,
-    write_device_table,
-    write_power_sweep,
-    write_sweep,
-)
-from resloss import (
-    DesignKind,
-    DeviceCircuitModel,
-    DeviceRecord,
-    PowerSweepPoint,
-    generate_power_sweep,
-)
+from resloss.fileio import write_power_sweep, write_sweep
+from resloss import PowerSweepPoint, generate_power_sweep
 
 
 def run(*args):
     return main([str(a) for a in args])
+
+
+def device_table(tmp_path, *rows):
+    """A CSV device table with the standard header and the given rows."""
+    path = tmp_path / "devices.csv"
+    path.write_text("label,design,material,f0_GHz,N,g_c_um,C_C_fF,C_L_fF,L_nH,loss,loss_err\n"
+                    + "".join(row + "\n" for row in rows))
+    return path
 
 
 def reject_constant(constant):
@@ -192,18 +189,12 @@ class TestExtractCommand:
             (9.158633540372669e-6 - 1.12e-5) / 1.12e-5, rel=1e-9)
 
     def test_csv_table_input(self, tmp_path):
-        records = [
-            DeviceRecord("A", DesignKind.LE_PPC, "trilayer", 3.7464e9, 17, 3e-6,
-                         DeviceCircuitModel(2.42e-9, 727.7e-15, 82.2e-15, "A"),
-                         920e-6, 7e-6),
-            DeviceRecord("B", DesignKind.LE_IDC, "Al", 6.3798e9, 13, 30e-6,
-                         DeviceCircuitModel(1.87e-9, 34.7e-15, 64.4e-15, "B"),
-                         8.9e-6, 0.1e-6),
-            DeviceRecord("C", DesignKind.CPW, "Al", 4.5548e9, None, None,
-                         None, 8.42e-6, 0.06e-6),
-        ]
-        table = tmp_path / "devices.csv"
-        write_device_table(table, records)
+        table = device_table(
+            tmp_path,
+            "A,LE_PPC,trilayer,3.7464,17,3,727.7,82.2,2.42,920e-6,7e-6",
+            "B,LE_IDC,Al,6.3798,13,30,34.7,64.4,1.87,8.9e-6,0.1e-6",
+            "C,CPW,Al,4.5548,,,,,,8.42e-6,0.06e-6",
+        )
         out = tmp_path / "ext"
         assert run("extract", "--input", table, "--out", out) == EXIT_OK
         report = json.loads((out / "extract.json").read_text())
@@ -218,15 +209,12 @@ class TestExtractCommand:
         assert (a / "extract.json").read_bytes() == (b / "extract.json").read_bytes()
 
     def test_losses_assembled_from_fit_reports(self, tmp_path):
-        records = [
-            DeviceRecord("A", DesignKind.LE_PPC, "trilayer", 3.7464e9, 17, 3e-6,
-                         DeviceCircuitModel(2.42e-9, 727.7e-15, 82.2e-15, "A")),
-            DeviceRecord("B", DesignKind.LE_IDC, "Al", 6.3798e9, 13, 30e-6,
-                         DeviceCircuitModel(1.87e-9, 34.7e-15, 64.4e-15, "B")),
-            DeviceRecord("C", DesignKind.CPW, "Al", 4.5548e9),
-        ]
-        table = tmp_path / "devices.csv"
-        write_device_table(table, records)
+        table = device_table(
+            tmp_path,
+            "A,LE_PPC,trilayer,3.7464,17,3,727.7,82.2,2.42,,",
+            "B,LE_IDC,Al,6.3798,13,30,34.7,64.4,1.87,,",
+            "C,CPW,Al,4.5548,,,,,,,",
+        )
         fits = {"ppc": 920e-6, "idc": 8.9e-6, "cpw": 8.42e-6}
         paths = {}
         for key, loss in fits.items():
@@ -246,32 +234,21 @@ class TestExtractCommand:
         assert len(report["inputs"]) == 3
 
     def test_missing_loss_and_no_fit_report(self, tmp_path):
-        records = [
-            DeviceRecord("A", DesignKind.LE_PPC, "x", 3.7464e9, None, None,
-                         DeviceCircuitModel(2.42e-9, 727.7e-15, 82.2e-15, "A")),
-            DeviceRecord("B", DesignKind.LE_IDC, "x", 6.3798e9, None, None,
-                         DeviceCircuitModel(1.87e-9, 34.7e-15, 64.4e-15, "B"),
-                         8.9e-6, None),
-            DeviceRecord("C", DesignKind.CPW, "x", 4.5548e9, None, None, None,
-                         8.42e-6, None),
-        ]
-        table = tmp_path / "devices.csv"
-        write_device_table(table, records)
+        table = device_table(
+            tmp_path,
+            "A,LE_PPC,x,3.7464,,,727.7,82.2,2.42,,",
+            "B,LE_IDC,x,6.3798,,,34.7,64.4,1.87,8.9e-6,",
+            "C,CPW,x,4.5548,,,,,,8.42e-6,",
+        )
         assert run("extract", "--input", table, "--out", tmp_path / "o") == EXIT_INPUT
 
     def test_inconsistent_inputs_exit(self, tmp_path):
-        records = [
-            DeviceRecord("A", DesignKind.LE_PPC, "x", 3.7e9, None, None,
-                         DeviceCircuitModel(2.42e-9, 727.7e-15, 82.2e-15, "A"),
-                         920e-6, None),
-            DeviceRecord("B", DesignKind.LE_IDC, "x", 6.4e9, None, None,
-                         DeviceCircuitModel(1.87e-9, 90e-15, 10e-15, "B"),
-                         5e-6, None),
-            DeviceRecord("C", DesignKind.CPW, "x", 4.6e9, None, None, None,
-                         1e-5, None),
-        ]
-        table = tmp_path / "devices.csv"
-        write_device_table(table, records)
+        table = device_table(
+            tmp_path,
+            "A,LE_PPC,x,3.7,,,727.7,82.2,2.42,920e-6,",
+            "B,LE_IDC,x,6.4,,,90,10,1.87,5e-6,",
+            "C,CPW,x,4.6,,,,,,1e-5,",
+        )
         assert run("extract", "--input", table, "--out", tmp_path / "o") == EXIT_EXTRACTION
 
     def test_missing_input_exit(self, tmp_path):
@@ -341,6 +318,56 @@ class TestMalformedInput:
         path.write_text("# f0_GHz = 4.5\n# T_K = 0.1\nphoton_number,loss,loss_sigma\n1e-2\n")
         status = run("fit-tls", "--input", path, "--out", tmp_path / "tls")
         assert str(path) in self.assert_input_error(status, capsys)["message"]
+
+    @pytest.mark.parametrize("f0, cells, match", [
+        ("abc", lambda k: ("2e-5", "1e-7"), "could not convert"),
+        ("4.5", lambda k: ("2e-5", "1e-7") if k else ("2e-5",), "number of columns"),
+        ("4.5", lambda k: ("2e-5", "1e-7" if k else ""), "could not convert string ''"),
+        ("4.5", lambda k: ("nan" if k == 3 else "2e-5", "1e-7"), "loss must be finite"),
+        ("4.5", lambda k: ("inf" if k == 3 else "2e-5", "1e-7"), "loss must be finite"),
+        ("4.5", lambda k: ("2e-5", "inf"), "loss_sigma must be finite"),
+    ], ids=["metadata", "ragged", "blank", "nan-loss", "inf-loss", "inf-sigmas"])
+    def test_fit_tls_read_error_names_file(self, tmp_path, capsys, f0, cells, match):
+        path = tmp_path / "power.csv"
+        path.write_text(f"# f0_GHz = {f0}\n# T_K = 0.1\nphoton_number,loss,loss_sigma\n" + "".join(
+            ",".join((f"{10.0 ** (k - 2)}", *cells(k))) + "\n" for k in range(8)))
+        status = run("fit-tls", "--input", path, "--out", tmp_path / "tls")
+        message = self.assert_input_error(status, capsys)["message"]
+        assert message.startswith(f"{path}: ") and match in message
+        assert not (tmp_path / "tls").exists()
+
+    def test_extract_csv_row_error_names_file(self, tmp_path, capsys):
+        table = device_table(
+            tmp_path,
+            "A,LE_PPC,x,3.7464,,,727.7,82.2,2.42,920e-6,",
+            "B,LE_IDC,x,-6.3798,,,34.7,64.4,1.87,8.9e-6,",
+            "C,CPW,x,4.5548,,,,,,8.42e-6,",
+        )
+        status = run("extract", "--input", table, "--out", tmp_path / "ext")
+        assert str(table) in self.assert_input_error(status, capsys)["message"]
+
+    @pytest.mark.parametrize("loss_err", ["nan", "inf"])
+    def test_extract_non_finite_loss_err(self, tmp_path, capsys, loss_err):
+        table = device_table(
+            tmp_path,
+            f"A,LE_PPC,x,3.7464,,,727.7,82.2,2.42,920e-6,{loss_err}",
+            "B,LE_IDC,x,6.3798,,,34.7,64.4,1.87,8.9e-6,",
+            "C,CPW,x,4.5548,,,,,,8.42e-6,",
+        )
+        status = run("extract", "--input", table, "--out", tmp_path / "ext")
+        assert "finite" in self.assert_input_error(status, capsys)["message"]
+        assert not (tmp_path / "ext").exists()
+
+    @pytest.mark.parametrize("option, value", [
+        ("--threshold", "nan"),
+        ("--threshold", "inf"),
+        ("--curves", "1e-5,nan"),
+        ("--fixed", "nan"),
+    ])
+    def test_error_map_non_finite_value(self, tmp_path, capsys, option, value):
+        status = run("error-map", option, value, "--out", tmp_path / "map")
+        assert "finite" in self.assert_input_error(status, capsys)["message"]
+        assert not (tmp_path / "map").exists()
 
     def test_fit_s21_short_row_names_file(self, tmp_path, capsys):
         path = tmp_path / "sweep.csv"

@@ -149,3 +149,13 @@ class TestErrorMap:
             error_map(AXIS_INDUCTOR_LOSS, np.array([]), [1e-5], 0.102)
         with pytest.raises(ValueError):
             error_map(AXIS_INDUCTOR_LOSS, np.array([1e-5]), [], 0.102)
+
+    @pytest.mark.parametrize("curves, fixed, threshold", [
+        ([1e-5, np.nan], 0.102, 0.1),
+        ([1e-5], np.nan, 0.1),
+        ([1e-5], 0.102, np.nan),
+        ([1e-5], 0.102, np.inf),
+    ])
+    def test_non_finite_values_rejected(self, curves, fixed, threshold):
+        with pytest.raises(ValueError, match="finite"):
+            error_map(AXIS_INDUCTOR_LOSS, np.array([1e-5]), curves, fixed, threshold)

@@ -139,6 +139,13 @@ class TestExtract:
         with pytest.raises(ValueError):
             reference_input(ppc_resonator_loss=0.0)
 
+    @pytest.mark.parametrize("name", ["ppc_resonator_loss_err", "idc_resonator_loss_err",
+                                      "cpw_loss_err"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1e-6])
+    def test_bad_loss_errors_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            reference_input(**{name: value})
+
     @given(
         loss=st.floats(1e-7, 1e-3),
         cc_a=st.floats(1e-14, 1e-12),

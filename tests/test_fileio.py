@@ -16,7 +16,6 @@ from resloss.fileio import (
     read_sweep,
     sha256_digest,
     watts_to_dbm,
-    write_device_table,
     write_power_sweep,
     write_sweep,
 )
@@ -54,6 +53,31 @@ class TestSweepFiles:
         with pytest.raises(ValueError):
             read_sweep(path)
 
+    def sweep_text(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        write_sweep(path, generate_s21_sweep(device_a_truth(seed=3), 4))
+        return path, path.read_text().splitlines()
+
+    def test_extra_columns_and_no_header_accepted(self, tmp_path):
+        path, lines = self.sweep_text(tmp_path)
+        expected = read_sweep(path)
+        path.write_text("\n".join(lines[:2] + [line + ",7" for line in lines[3:]]))
+        back = read_sweep(path)
+        assert np.array_equal(back.frequencies, expected.frequencies)
+        assert np.array_equal(back.s21, expected.s21)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda row: row + ",7", "number of columns changed"),
+        (lambda row: row.split(",", 1)[0] + ",,0.5", "could not convert string ''"),
+    ])
+    def test_bad_row_names_the_file(self, tmp_path, edit, match):
+        path, lines = self.sweep_text(tmp_path)
+        lines[10] = edit(lines[10])
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match=match) as info:
+            read_sweep(path)
+        assert str(info.value).startswith(f"{path}: ")
+
 
 class TestPowerSweepFiles:
     def test_round_trip_with_flags(self, tmp_path):
@@ -73,6 +97,25 @@ class TestPowerSweepFiles:
         write_power_sweep(path, points, f0=5e9, temperature=0.1)
         _, _, _, fractional = read_power_sweep(path)
         assert fractional is False
+
+    def test_two_columns_have_zero_sigma(self, tmp_path):
+        path = tmp_path / "power.csv"
+        path.write_text("# f0_GHz = 4.5\n# T_K = 0.1\n1e-2,2e-5\n10,1e-5\n")
+        points, f0, temperature, _ = read_power_sweep(path)
+        assert points == [PowerSweepPoint(1e-2, 2e-5), PowerSweepPoint(10.0, 1e-5)]
+        assert (f0, temperature) == (4.5e9, 0.1)
+
+    @pytest.mark.parametrize("meta, rows, match", [
+        ("", "1,2e-5,1e-7\n", "missing field 'f0_GHz'"),
+        ("# f0_GHz = 4.5\n", "1\n10\n", "photon_number and loss"),
+        ("# f0_GHz = 4.5\n", "inf,2e-5,1e-7\n", "photons must be finite"),
+    ])
+    def test_errors_name_the_file(self, tmp_path, meta, rows, match):
+        path = tmp_path / "power.csv"
+        path.write_text(meta + "# T_K = 0.1\nphoton_number,loss,loss_sigma\n" + rows)
+        with pytest.raises(ValueError, match=match) as info:
+            read_power_sweep(path)
+        assert str(info.value).startswith(f"{path}: ")
 
 
 class TestDeviceTables:
@@ -98,23 +141,38 @@ class TestDeviceTables:
         assert reference["inductor_loss"] == pytest.approx(1.12e-5)
 
     def test_csv_round_trip(self, tmp_path):
+        # The bundled JSON table written out as CSV, with quoted cells.
         from importlib import resources
 
         fixture = resources.files("resloss").joinpath("data", "table1.json")
         records, _ = read_device_table(str(fixture))
         path = tmp_path / "devices.csv"
-        write_device_table(path, records)
+        path.write_text(
+            "# source = table1\n"
+            "label,design,material,f0_GHz,N,g_c_um,C_C_fF,C_L_fF,L_nH,loss,loss_err\n"
+            '"A",LE_PPC,"Al/Al2O3/Al",3.7464,17,3,727.7,82.2,2.42,920e-6,7e-6\n'
+            "B,LE_IDC,Planar Al,6.3798,13,30,34.7,64.4,1.87,8.9e-6,0.1e-6\n"
+            "\n"
+            'C,CPW,"Planar Al",4.5548,,,,,,8.42e-6,0.06e-6\n'
+        )
         back, reference = read_device_table(path)
         assert reference is None
-        assert len(back) == 3
-        for a, b in zip(records, back):
-            assert a.label == b.label
-            assert a.design == b.design
-            assert a.f0 == pytest.approx(b.f0, rel=1e-12)
-            assert (a.circuit is None) == (b.circuit is None)
-            if a.circuit is not None:
-                assert a.circuit.cap_capacitance == pytest.approx(
-                    b.circuit.cap_capacitance, rel=1e-12)
+        assert back == records
+
+    @pytest.mark.parametrize("text, match", [
+        ("1,LE_PPC,x,3.7\n", "header"),
+        ("label,design,f0_GHz\nA,LE_PPC\n", "columns"),
+        ("label,design,f0_GHz\nA,PPC,3.7\n", "DesignKind"),
+        ("label,design,f0_GHz\nA,LE_PPC,-3.7\n", "f0 must be > 0"),
+        ("label,f0_GHz\nA,3.7\n", "missing field 'design'"),
+        ("label,design,f0_GHz\n", "no data rows"),
+    ])
+    def test_csv_errors_name_the_file(self, tmp_path, text, match):
+        path = tmp_path / "devices.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match) as info:
+            read_device_table(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_partial_circuit_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -195,6 +253,13 @@ class TestAtomicWrites:
         atomic_write_json(p2, obj)
         assert p1.read_bytes() == p2.read_bytes()
         assert json.loads(p1.read_text()) == obj
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_json_rejects_non_finite(self, tmp_path, value):
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError):
+            atomic_write_json(path, {"x": [1.0, value]})
+        assert list(tmp_path.iterdir()) == []
 
     def test_failure_leaves_no_file(self, tmp_path):
         path = tmp_path / "never.json"

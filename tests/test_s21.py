@@ -297,4 +297,4 @@ class TestOneSigmaErrors:
         (g00, g01), (_, g11) = x.T @ x
         det = g00 * g11 - g01**2
         expected = np.sqrt(s2 * np.array([g11, g00]) / det)
-        np.testing.assert_allclose(one_sigma_errors(res), expected, rtol=1e-9)
+        np.testing.assert_allclose(one_sigma_errors(res.jac, res.fun), expected, rtol=1e-9)

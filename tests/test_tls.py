@@ -120,6 +120,14 @@ class TestLossModel:
         with pytest.raises(ValueError):
             params(q_hp=0.0)
 
+    @pytest.mark.parametrize("point", [
+        (math.inf, 1e-5, 0.0), (math.nan, 1e-5, 0.0), (1.0, math.inf, 0.0),
+        (1.0, math.nan, 0.0), (1.0, 1e-5, math.inf), (1.0, 1e-5, math.nan),
+    ])
+    def test_power_sweep_point_must_be_finite(self, point):
+        with pytest.raises(ValueError, match="finite"):
+            PowerSweepPoint(*point)
+
 
 class TestFitPowerSweep:
     def test_noise_free_recovery(self):
