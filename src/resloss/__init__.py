@@ -26,7 +26,6 @@ from .error_analysis import (
     ErrorMap,
     error_map,
     log_grid,
-    measurable,
     participation_asymptote,
     systematic_error,
 )
@@ -42,13 +41,7 @@ from .errors import (
     ReslossError,
     UnderdeterminedError,
 )
-from .extraction import (
-    ExtractionInput,
-    ExtractionResult,
-    extract,
-    solve_inductor_loss,
-    solve_ppc_loss,
-)
+from .extraction import ExtractionInput, ExtractionResult, extract
 from .s21 import (
     ComplexSweep,
     ResonatorFitResult,
@@ -104,15 +97,12 @@ __all__ = [
     "ExtractionInput",
     "ExtractionResult",
     "extract",
-    "solve_inductor_loss",
-    "solve_ppc_loss",
     # error analysis
     "AXIS_INDUCTOR_LOSS",
     "AXIS_PARTICIPATION",
     "ErrorMap",
     "error_map",
     "log_grid",
-    "measurable",
     "participation_asymptote",
     "systematic_error",
     # synth

@@ -63,6 +63,14 @@ def _resolve_input(spec: str) -> Path:
     raise FileNotFoundError(f"input {spec!r} is neither a file nor a bundled fixture")
 
 
+def _single_input(args: argparse.Namespace, required: bool = True) -> Path | None:
+    """The one --input of a command that reads a single file; None when absent."""
+    if len(args.input) > 1 or (required and not args.input):
+        quantity = "exactly" if required else "at most"
+        raise ValueError(f"{args.command} takes {quantity} one --input, got {len(args.input)}")
+    return _resolve_input(args.input[0]) if args.input else None
+
+
 def _expand_sweep_inputs(specs: list[str]) -> list[Path]:
     paths: list[Path] = []
     for spec in specs:
@@ -108,8 +116,8 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    if args.input:
-        truth_path = _resolve_input(args.input[0])
+    truth_path = _single_input(args, required=False)
+    if truth_path is not None:
         doc = json.loads(truth_path.read_text(encoding="utf-8"))
         provenance = _provenance([truth_path])
     else:
@@ -243,9 +251,7 @@ def _finite(x: float) -> float | None:
 
 
 def _cmd_fit_tls(args: argparse.Namespace) -> int:
-    if len(args.input) != 1:
-        raise ValueError("fit-tls takes exactly one power-sweep input")
-    path = _resolve_input(args.input[0])
+    path = _single_input(args)
     points, f0, temperature, fractional = fileio.read_power_sweep(path)
 
     result = fit_power_sweep(
@@ -305,9 +311,7 @@ def _load_fit_loss(path) -> tuple[float, float]:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    if len(args.input) != 1:
-        raise ValueError("extract takes exactly one device-table input")
-    path = _resolve_input(args.input[0])
+    path = _single_input(args)
     records, reference = fileio.read_device_table(path)
 
     ppc = _find_record(records, DesignKind.LE_PPC)
@@ -367,16 +371,16 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         "fractional_difference": result.fractional_difference,
         **_provenance([path] + sorted(fit_paths.values())),
     }
+    ref_values = {}
     if reference:
         comparison = {"values": reference}
-        if "inductor_loss" in reference:
-            ref = fileio.as_number(reference["inductor_loss"], "reference inductor_loss")
-            comparison["inductor_loss_relative_deviation"] = (
-                result.inductor_loss - ref
-            ) / ref
-        if "ppc_loss" in reference:
-            ref = fileio.as_number(reference["ppc_loss"], "reference ppc_loss")
-            comparison["ppc_loss_relative_deviation"] = (result.ppc_loss - ref) / ref
+        for key in ("inductor_loss", "ppc_loss"):
+            if key in reference:
+                ref = fileio.as_number(reference[key], f"reference {key}")
+                if ref == 0.0:
+                    raise ValueError(f"reference {key} must be nonzero")
+                comparison[f"{key}_relative_deviation"] = (getattr(result, key) - ref) / ref
+                ref_values[key] = ref
         report["reference"] = comparison
 
     fileio.atomic_write_json(Path(args.out) / "extract.json", report)
@@ -386,9 +390,9 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         f"single-measurement {result.single_measurement:.4g} "
         f"(difference {result.fractional_difference:.3f})"
     )
-    if reference and "inductor_loss" in reference:
+    if "inductor_loss" in ref_values:
         print(
-            f"extract: reference inductor loss {float(reference['inductor_loss']):.4g} "
+            f"extract: reference inductor loss {ref_values['inductor_loss']:.4g} "
             f"({reference.get('note', 'reference value supplied with the dataset')})"
         )
     return EXIT_OK
@@ -480,28 +484,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--input", action="append", default=[],
-                       help="input file (repeatable); 'table1' selects the bundled fixture")
+    def common(p, input_help):
+        """--out, plus --input unless the command reads no file (input_help None)."""
+        if input_help is not None:
+            p.add_argument("--input", action="append", default=[], help=input_help)
         p.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("synth", help="generate seeded synthetic fixtures")
-    common(p)
+    common(p, "truth JSON file (default: the built-in truth)")
     p.add_argument("--seed", type=int, default=None, help="override the truth seed")
 
     p = sub.add_parser("fit-s21", help="fit complex transmission sweeps")
-    common(p)
+    common(p, "sweep file, or directory of sweep_*.csv (repeatable)")
     p.add_argument("--delay", type=float, default=None,
                    help="cable delay in seconds (default: estimated)")
     p.add_argument("--baseline", default=None,
                    help="complex baseline as re,im (default: estimated)")
 
     p = sub.add_parser("fit-tls", help="fit the saturable loss curve to a power sweep")
-    common(p)
+    common(p, "power-sweep file")
     p.add_argument("--beta", choices=("fixed", "free"), default="fixed")
 
     p = sub.add_parser("extract", help="run the three-device loss extraction")
-    common(p)
+    common(p, "device table; 'table1' selects the bundled fixture")
     p.add_argument("--ppc-fit", default=None,
                    help="TLS fit report supplying the PPC resonator loss")
     p.add_argument("--idc-fit", default=None,
@@ -510,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="TLS fit report supplying the CPW loss")
 
     p = sub.add_parser("error-map", help="tabulate the single-measurement error")
-    common(p)
+    common(p, None)
     p.add_argument("--axis", choices=(error_analysis.AXIS_INDUCTOR_LOSS,
                                       error_analysis.AXIS_PARTICIPATION),
                    default=error_analysis.AXIS_INDUCTOR_LOSS)

@@ -50,15 +50,6 @@ def participation_asymptote(participation: float) -> float:
     return participation / (1.0 - participation)
 
 
-def measurable(capacitor_loss, inductor_loss, participation, threshold: float = 0.1) -> bool:
-    """Whether the single-measurement error stays within the threshold."""
-    if threshold <= 0.0:
-        raise ValueError("threshold must be > 0")
-    return bool(
-        abs(systematic_error(capacitor_loss, inductor_loss, participation)) <= threshold
-    )
-
-
 @dataclass(frozen=True)
 class ErrorMap:
     """Error over a capacitor-loss grid, one curve per swept parameter.

@@ -12,8 +12,9 @@ devices sharing the same inductor design separates the two:
 
 The "single measurement" shortcut assigns the PPC resonator's entire
 measured loss to the capacitor; it is returned alongside for comparison.
-All solves are affine, so measurement uncertainties propagate exactly to
-first order.
+Both stages solve the same participation-weighted equation, each for a
+different element. The solves are affine, so measurement uncertainties
+propagate exactly to first order.
 """
 
 from __future__ import annotations
@@ -47,6 +48,10 @@ class ExtractionInput:
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        for device, circuit in (("PPC", self.ppc_circuit), ("IDC", self.idc_circuit)):
+            if not circuit.stray_capacitance > 0.0:
+                raise ValueError(f"{device} device: stray capacitance must be > 0, "
+                                 f"got {circuit.stray_capacitance}")
         if self.ppc_circuit == self.idc_circuit:
             raise ValueError("PPC and IDC devices must carry distinct circuit models")
 
@@ -64,95 +69,60 @@ class ExtractionResult:
     ppc_loss_err: float = 0.0
     single_measurement_err: float = 0.0
 
-    def __post_init__(self):
-        for name in ("idc_loss_proxy", "inductor_loss", "ppc_loss", "single_measurement"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0; negative solves are errors")
 
+def _solve_element(
+    stage: str,
+    c_total: float,
+    c_self: float,
+    c_other: float,
+    total: tuple[float, float],
+    other: tuple[float, float],
+    names: tuple[str, str],
+) -> tuple[float, float]:
+    """Solve c_total*total = c_self*x + c_other*other for one element's loss x.
 
-def solve_inductor_loss(
-    idc_resonator_loss: float,
-    idc_capacitance: float,
-    stray_capacitance: float,
-    idc_loss: float,
-) -> float:
-    """Inductor loss from the IDC resonator's participation-weighted total.
-
-    Solves total = (C_idc * idc_loss + C_stray * inductor_loss) / C_total
-    for the inductor term.
+    ``total`` (the resonator's loss) and ``other`` (the other element's
+    loss) are (value, one-sigma error) pairs; returns x and its one-sigma
+    error. The solve is affine in both losses, so first-order propagation
+    of their errors is exact. A negative x raises InconsistentInputsError
+    carrying ``stage``; ``names`` are the other loss and the device, for
+    its message.
     """
-    if idc_capacitance <= 0.0 or stray_capacitance <= 0.0:
-        raise ValueError("capacitances must be > 0")
-    if idc_resonator_loss <= 0.0 or idc_loss <= 0.0:
-        raise ValueError("losses must be > 0")
-    total_c = idc_capacitance + stray_capacitance
-    value = (total_c * idc_resonator_loss - idc_capacitance * idc_loss) / stray_capacitance
-    if value < 0.0:
+    (t, t_err), (o, o_err) = total, other
+    x = (c_total * t - c_other * o) / c_self
+    if x < 0.0:
         raise InconsistentInputsError(
-            f"inductor loss solve is negative ({value:.4g}): the IDC proxy loss "
-            f"{idc_loss:.4g} exceeds what the IDC resonator total "
-            f"{idc_resonator_loss:.4g} permits",
-            stage="inductor_loss",
+            f"{stage} solve is negative ({x:.4g}): the {names[0]} {o:.4g} exceeds "
+            f"what the {names[1]} resonator total {t:.4g} permits",
+            stage=stage,
         )
-    return value
-
-
-def solve_ppc_loss(
-    ppc_resonator_loss: float,
-    cap_capacitance: float,
-    stray_capacitance: float,
-    inductor_loss: float,
-) -> float:
-    """PPC dielectric loss once the inductor loss is known (filling factor 1)."""
-    if cap_capacitance <= 0.0 or stray_capacitance <= 0.0:
-        raise ValueError("capacitances must be > 0")
-    if ppc_resonator_loss <= 0.0 or inductor_loss < 0.0:
-        raise ValueError("resonator loss must be > 0 and inductor loss >= 0")
-    total_c = cap_capacitance + stray_capacitance
-    value = (total_c * ppc_resonator_loss - stray_capacitance * inductor_loss) / cap_capacitance
-    if value < 0.0:
-        raise InconsistentInputsError(
-            f"capacitor loss solve is negative ({value:.4g}): the inductor loss "
-            f"{inductor_loss:.4g} exceeds what the PPC resonator total "
-            f"{ppc_resonator_loss:.4g} permits",
-            stage="ppc_loss",
-        )
-    return value
+    return x, math.hypot((c_total / c_self) * t_err, (c_other / c_self) * o_err)
 
 
 def extract(inputs: ExtractionInput) -> ExtractionResult:
     """Run the full three-device solve and the single-measurement estimate."""
-    idc = inputs.idc_circuit
-    inductor = solve_inductor_loss(
-        inputs.idc_resonator_loss, idc.cap_capacitance, idc.stray_capacitance,
-        inputs.cpw_loss,
+    idc, ppc = inputs.idc_circuit, inputs.ppc_circuit
+    inductor, inductor_err = _solve_element(
+        "inductor_loss",
+        idc.total_capacitance, idc.stray_capacitance, idc.cap_capacitance,
+        (inputs.idc_resonator_loss, inputs.idc_resonator_loss_err),
+        (inputs.cpw_loss, inputs.cpw_loss_err),
+        ("IDC proxy loss", "IDC"),
     )
-    ppc = inputs.ppc_circuit
-    cap_loss = solve_ppc_loss(
-        inputs.ppc_resonator_loss, ppc.cap_capacitance, ppc.stray_capacitance, inductor
+    cap_loss, cap_loss_err = _solve_element(
+        "ppc_loss",
+        ppc.total_capacitance, ppc.cap_capacitance, ppc.stray_capacitance,
+        (inputs.ppc_resonator_loss, inputs.ppc_resonator_loss_err),
+        (inductor, inductor_err),
+        ("inductor loss", "PPC"),
     )
     single = inputs.ppc_resonator_loss
-    fractional = (cap_loss - single) / single
-
-    # The solves are affine in the measured losses, so first-order
-    # propagation of the quoted uncertainties is exact.
-    c_b = idc.total_capacitance
-    inductor_err = math.hypot(
-        (c_b / idc.stray_capacitance) * inputs.idc_resonator_loss_err,
-        (idc.cap_capacitance / idc.stray_capacitance) * inputs.cpw_loss_err,
-    )
-    c_a = ppc.total_capacitance
-    cap_loss_err = math.hypot(
-        (c_a / ppc.cap_capacitance) * inputs.ppc_resonator_loss_err,
-        (ppc.stray_capacitance / ppc.cap_capacitance) * inductor_err,
-    )
-
     return ExtractionResult(
         idc_loss_proxy=inputs.cpw_loss,
         inductor_loss=inductor,
         ppc_loss=cap_loss,
         single_measurement=single,
-        fractional_difference=fractional,
+        fractional_difference=(cap_loss - single) / single,
         inductor_loss_err=inductor_err,
         ppc_loss_err=cap_loss_err,
         single_measurement_err=inputs.ppc_resonator_loss_err,

@@ -2,8 +2,9 @@
 tables and fit reports.
 
 Conventions shared by every writer:
-  * numeric fields are serialized with 17 significant digits so binary
-    floats round-trip losslessly through text;
+  * numbers round-trip losslessly through text: ``write_table`` writes
+    cells with 17 significant digits, and JSON reports carry Python's
+    shortest round-trip form;
   * delimited files carry ``# key = value`` metadata lines, then a
     header row and comma-separated cells; ``write_table`` writes every
     such file and ``_read_table`` parses every one;
@@ -206,7 +207,11 @@ def read_power_sweep(path: str | Path) -> tuple[list[PowerSweepPoint], float, fl
             raise ValueError("a power sweep needs photon_number and loss columns")
         points = [PowerSweepPoint(*row[:3]) for row in data.tolist()]
         fractional = meta.get("fractional", "false").strip().lower() in ("true", "1", "yes")
-        return points, float(meta["f0_GHz"]) * GHZ, float(meta["T_K"]), fractional
+        f0, temperature = float(meta["f0_GHz"]) * GHZ, float(meta["T_K"])
+        if not (0.0 < f0 < math.inf and 0.0 < temperature < math.inf):
+            raise ValueError(f"f0_GHz and T_K must be finite and > 0, got "
+                             f"{meta['f0_GHz']} and {meta['T_K']}")
+        return points, f0, temperature, fractional
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,10 @@ class ComplexSweep:
             and np.all(np.isfinite(z.imag))
         ):
             raise ValueError("sweep contains non-finite samples")
+        for name in ("power", "temperature"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         f = f.copy()
         z = z.copy()
         f.setflags(write=False)
@@ -252,8 +256,10 @@ def calibrate_and_fit(
     """
     f = sweep.frequencies
     z = sweep.s21
-    if baseline is not None and baseline == 0:
-        raise ValueError("baseline must be nonzero")
+    if delay is not None and not math.isfinite(delay):
+        raise ValueError(f"delay must be finite, got {delay}")
+    if baseline is not None and not (cmath.isfinite(baseline) and baseline != 0):
+        raise ValueError(f"baseline must be finite and nonzero, got {baseline}")
     if np.any(z == 0):
         raise FitFailureError("transmission contains exact zeros; cannot invert")
     delay_0 = _estimate_delay(f, z, baseline) if delay is None else float(delay)

@@ -29,8 +29,9 @@ _FTOL = 1e-14
 
 def thermal_factor(omega0: float, temperature: float) -> float:
     """Thermal occupation factor tanh(hbar*omega0 / (2*k_B*T))."""
-    if omega0 <= 0.0 or temperature <= 0.0:
-        raise ValueError("omega0 and temperature must be > 0")
+    if not (0.0 < omega0 < math.inf and 0.0 < temperature < math.inf):
+        raise ValueError(f"omega0 and temperature must be finite and > 0, "
+                         f"got {omega0} and {temperature}")
     return math.tanh(hbar * omega0 / (2.0 * k_B * temperature))
 
 
@@ -223,30 +224,28 @@ def fit_power_sweep(
         starts = np.column_stack([starts, np.full(len(starts), beta)])
     u0 = min(starts, key=lambda u: float(np.sum(project(u)[0] ** 2)))
 
-    if u0.size:
-        lo = ([math.log(n_lo) - 12.0] if fit_n_c else []) + ([1e-3] if free_beta else [])
-        hi = ([math.log(n_hi) + 12.0] if fit_n_c else []) + ([1.0] if free_beta else [])
-        res = least_squares(
-            lambda u: project(u)[0],
-            u0,
-            jac=jacobian,
-            bounds=(np.asarray(lo), np.asarray(hi)),
-            ftol=_FTOL,
-            xtol=_FTOL,
-            gtol=_FTOL,
-            max_nfev=_MAX_ITER * (u0.size + 1),
-        )
-        u, nfev, success = res.x, res.nfev, res.success
-    else:
-        u, nfev, success = u0, 1, True
+    lo = ([math.log(n_lo) - 12.0] if fit_n_c else []) + ([1e-3] if free_beta else [])
+    hi = ([math.log(n_hi) + 12.0] if fit_n_c else []) + ([1.0] if free_beta else [])
+    # With no nonlinear parameter (fractional axis, fixed beta) the solver
+    # returns at once with success after one evaluation.
+    res = least_squares(
+        lambda u: project(u)[0],
+        u0,
+        jac=jacobian,
+        bounds=(np.asarray(lo), np.asarray(hi)),
+        ftol=_FTOL,
+        xtol=_FTOL,
+        gtol=_FTOL,
+        max_nfev=_MAX_ITER * (u0.size + 1),
+    )
 
-    r, coef, jac = project(u)
+    r, coef, jac = project(res.x)
     err = one_sigma_errors(jac, r)
     ftd_hat, inv_qhp = coef
     if ftd_hat == 0.0:
         err[nonlinear] = math.inf  # without a TLS term the data do not fix n_c or beta
     inv_qhp_err = float(err[linear[1]])
-    nc_hat, beta_hat = unpack(u)
+    nc_hat, beta_hat = unpack(res.x)
     if inv_qhp > 0.0:
         qhp_hat, qhp_err = 1.0 / inv_qhp, inv_qhp_err / inv_qhp**2
     else:
@@ -267,10 +266,10 @@ def fit_power_sweep(
         beta_err=float(err[-1]) if free_beta else 0.0,
         residual_rms=float(np.sqrt(np.mean(r**2))),
         n_c_physical=fit_n_c,
-        nfev=int(nfev),
+        nfev=int(res.nfev),
         q_hp_lower_limit=float(1.0 / bound) if bound > 0.0 else math.inf,
     )
-    if not success:
+    if not res.success:
         raise FitFailureError("power-sweep fit did not converge", best=result)
 
     # A critical photon number far outside the sampled range means one

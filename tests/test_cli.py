@@ -86,6 +86,14 @@ class TestSynthCommand:
         assert (a / "power_sweep.csv").read_bytes() == (b / "power_sweep.csv").read_bytes()
         assert (a / "sweep_000.csv").read_bytes() == (b / "sweep_000.csv").read_bytes()
 
+    def test_two_inputs_rejected(self, tmp_path, capsys):
+        config = tmp_path / "truth.json"
+        config.write_text(json.dumps({"f0": 4.5e9}))
+        status = run("synth", "--input", config, "--input", config, "--out", tmp_path / "out")
+        assert status == EXIT_INPUT
+        assert "at most one --input" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestPipeline:
     def test_synth_fit_s21_fit_tls_round_trip(self, tmp_path):
@@ -255,6 +263,28 @@ class TestExtractCommand:
         assert run("extract", "--input", tmp_path / "nope.json",
                    "--out", tmp_path) == EXIT_INPUT
 
+    @pytest.mark.parametrize("key", ["inductor_loss", "ppc_loss"])
+    def test_zero_reference_value_exit(self, tmp_path, capsys, key):
+        doc = json.loads((Path(resloss.__file__).parent / "data" / "table1.json").read_text())
+        doc["reference"][key] = 0
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(doc))
+        assert run("extract", "--input", table, "--out", tmp_path / "ext") == EXIT_INPUT
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report["error"] == "ValueError" and key in report["message"]
+        assert not (tmp_path / "ext").exists()
+
+    def test_zero_stray_capacitance_exit(self, tmp_path, capsys):
+        table = device_table(
+            tmp_path,
+            "A,LE_PPC,x,3.7464,,,727.7,82.2,2.42,920e-6,",
+            "B,LE_IDC,x,6.3798,,,34.7,0,1.87,8.9e-6,",
+            "C,CPW,x,4.5548,,,,,,8.42e-6,",
+        )
+        assert run("extract", "--input", table, "--out", tmp_path / "o") == EXIT_INPUT
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "IDC device" in report["message"]
+
 
 class TestErrorMapCommand:
     def test_default_map(self, tmp_path):
@@ -281,6 +311,11 @@ class TestErrorMapCommand:
         asymptotes = [c["asymptote"] for c in summary["curves"]]
         assert asymptotes[0] == pytest.approx(0.01 / 0.99, rel=1e-9)
         assert asymptotes[1] == pytest.approx(0.102 / 0.898, rel=1e-9)
+
+    def test_takes_no_input(self, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            run("error-map", "--input", "x", "--out", tmp_path)
+        assert info.value.code == 2
 
     def test_bad_grid_exit(self, tmp_path):
         assert run("error-map", "--out", tmp_path, "--grid", "5:1:9") == EXIT_RANGE
@@ -319,18 +354,24 @@ class TestMalformedInput:
         status = run("fit-tls", "--input", path, "--out", tmp_path / "tls")
         assert str(path) in self.assert_input_error(status, capsys)["message"]
 
-    @pytest.mark.parametrize("f0, cells, match", [
-        ("abc", lambda k: ("2e-5", "1e-7"), "could not convert"),
-        ("4.5", lambda k: ("2e-5", "1e-7") if k else ("2e-5",), "number of columns"),
-        ("4.5", lambda k: ("2e-5", "1e-7" if k else ""), "could not convert string ''"),
-        ("4.5", lambda k: ("nan" if k == 3 else "2e-5", "1e-7"), "loss must be finite"),
-        ("4.5", lambda k: ("inf" if k == 3 else "2e-5", "1e-7"), "loss must be finite"),
-        ("4.5", lambda k: ("2e-5", "inf"), "loss_sigma must be finite"),
-    ], ids=["metadata", "ragged", "blank", "nan-loss", "inf-loss", "inf-sigmas"])
-    def test_fit_tls_read_error_names_file(self, tmp_path, capsys, f0, cells, match):
+    @pytest.mark.parametrize("meta, cells, match", [
+        (("abc", "0.1"), lambda k: ("2e-5", "1e-7"), "could not convert"),
+        (("4.5", "0.1"), lambda k: ("2e-5", "1e-7") if k else ("2e-5",), "number of columns"),
+        (("4.5", "0.1"), lambda k: ("2e-5", "1e-7" if k else ""), "could not convert string ''"),
+        (("4.5", "0.1"), lambda k: ("nan" if k == 3 else "2e-5", "1e-7"), "loss must be finite"),
+        (("4.5", "0.1"), lambda k: ("inf" if k == 3 else "2e-5", "1e-7"), "loss must be finite"),
+        (("4.5", "0.1"), lambda k: ("2e-5", "inf"), "loss_sigma must be finite"),
+        (("inf", "0.1"), lambda k: ("2e-5", "1e-7"), "must be finite and > 0"),
+        (("nan", "0.1"), lambda k: ("2e-5", "1e-7"), "must be finite and > 0"),
+        (("4.5", "inf"), lambda k: ("2e-5", "1e-7"), "must be finite and > 0"),
+        (("4.5", "nan"), lambda k: ("2e-5", "1e-7"), "must be finite and > 0"),
+    ], ids=["metadata", "ragged", "blank", "nan-loss", "inf-loss", "inf-sigmas",
+            "inf-f0", "nan-f0", "inf-T", "nan-T"])
+    def test_fit_tls_read_error_names_file(self, tmp_path, capsys, meta, cells, match):
         path = tmp_path / "power.csv"
-        path.write_text(f"# f0_GHz = {f0}\n# T_K = 0.1\nphoton_number,loss,loss_sigma\n" + "".join(
-            ",".join((f"{10.0 ** (k - 2)}", *cells(k))) + "\n" for k in range(8)))
+        path.write_text("# f0_GHz = {}\n# T_K = {}\nphoton_number,loss,loss_sigma\n".format(*meta)
+                        + "".join(",".join((f"{10.0 ** (k - 2)}", *cells(k))) + "\n"
+                                  for k in range(8)))
         status = run("fit-tls", "--input", path, "--out", tmp_path / "tls")
         message = self.assert_input_error(status, capsys)["message"]
         assert message.startswith(f"{path}: ") and match in message
@@ -368,6 +409,45 @@ class TestMalformedInput:
         status = run("error-map", option, value, "--out", tmp_path / "map")
         assert "finite" in self.assert_input_error(status, capsys)["message"]
         assert not (tmp_path / "map").exists()
+
+    @pytest.mark.parametrize("option, value", [
+        ("--delay", "nan"), ("--delay", "inf"), ("--baseline", "nan,0"),
+    ])
+    def test_fit_s21_non_finite_calibration(self, tmp_path, capsys, option, value):
+        write_sweep(tmp_path / "in" / "sweep_000.csv", model_sweep(4.5e9, 1e5, 5e4, 0.1))
+        status = run("fit-s21", "--input", tmp_path / "in", option, value,
+                     "--out", tmp_path / "fits")
+        assert "must be finite" in self.assert_input_error(status, capsys)["message"]
+        assert not (tmp_path / "fits").exists()
+
+    @pytest.mark.parametrize("baseline", ["inf", "0,inf"])
+    def test_fit_s21_infinite_baseline_returns(self, tmp_path, baseline):
+        # An infinite trace can make np.linalg.lstsq spin without returning;
+        # the subprocess timeout turns such a hang into a test failure.
+        write_sweep(tmp_path / "in" / "sweep_000.csv", model_sweep(4.5e9, 1e5, 5e4, 0.1))
+        env = {**os.environ, "PYTHONPATH": str(Path(resloss.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "resloss.cli", "fit-s21", "--input", str(tmp_path / "in"),
+             "--baseline", baseline, "--out", str(tmp_path / "fits")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_INPUT
+        report = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert report["error"] == "ValueError" and "must be finite" in report["message"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("temperature_K", "nan"), ("temperature_K", "inf"), ("temperature_K", "0"),
+        ("power_dbm", "inf"), ("power_dbm", "nan"),
+    ])
+    def test_fit_s21_bad_metadata_names_file(self, tmp_path, capsys, key, value):
+        path = tmp_path / "sweep.csv"
+        write_sweep(path, model_sweep(4.5e9, 1e5, 5e4, 0.1))
+        lines = [f"# {key} = {value}" if line.startswith(f"# {key} =") else line
+                 for line in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        status = run("fit-s21", "--input", path, "--out", tmp_path / "fits")
+        message = self.assert_input_error(status, capsys)["message"]
+        assert message.startswith(f"{path}: ") and "finite and > 0" in message
+        assert not (tmp_path / "fits").exists()
 
     def test_fit_s21_short_row_names_file(self, tmp_path, capsys):
         path = tmp_path / "sweep.csv"

@@ -9,7 +9,6 @@ from resloss import (
     GridRangeError,
     error_map,
     log_grid,
-    measurable,
     participation_asymptote,
     systematic_error,
 )
@@ -75,21 +74,28 @@ class TestSystematicError:
 
 
 class TestMeasurable:
+    @staticmethod
+    def measurable_cell(capacitor_loss, inductor_loss, participation, threshold=0.1):
+        """The measurable_mask cell of a one-point, one-curve map."""
+        emap = error_map(AXIS_INDUCTOR_LOSS, [capacitor_loss], [inductor_loss],
+                         participation, threshold=threshold)
+        return bool(emap.measurable_mask[0, 0])
+
     def test_operating_point_thresholds(self):
         # |error| = 0.1122 at the extracted operating point
-        assert measurable(1e-3, 1.12e-5, 0.102, threshold=0.12)
-        assert not measurable(1e-3, 1.12e-5, 0.102, threshold=0.10)
+        assert self.measurable_cell(1e-3, 1.12e-5, 0.102, threshold=0.12)
+        assert not self.measurable_cell(1e-3, 1.12e-5, 0.102, threshold=0.10)
 
     def test_equal_losses_always_measurable(self):
-        assert measurable(5e-6, 5e-6, 0.4, threshold=1e-12)
+        assert self.measurable_cell(5e-6, 5e-6, 0.4, threshold=1e-12)
 
     def test_low_loss_capacitor_not_measurable(self):
-        assert not measurable(1e-6, 1.12e-5, 0.102)
+        assert not self.measurable_cell(1e-6, 1.12e-5, 0.102)
 
     def test_low_participation_can_still_fail(self):
         # a very quiet capacitor saturates |error| at 1 even for p = 0.01
-        assert not measurable(1e-9, 1.12e-5, 0.01)
-        assert measurable(1.12e-5, 1.12e-5, 0.01)
+        assert not self.measurable_cell(1e-9, 1.12e-5, 0.01)
+        assert self.measurable_cell(1.12e-5, 1.12e-5, 0.01)
 
 
 class TestLogGrid:

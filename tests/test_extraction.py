@@ -8,8 +8,6 @@ from resloss import (
     ExtractionInput,
     InconsistentInputsError,
     extract,
-    solve_inductor_loss,
-    solve_ppc_loss,
 )
 
 PPC_CIRCUIT = DeviceCircuitModel(2.42e-9, 727.7e-15, 82.2e-15, "A")
@@ -32,37 +30,63 @@ def reference_input(**overrides):
 
 
 class TestStages:
+    """Each stage of ``extract``, isolated by the inputs of the other."""
+
     def test_inductor_loss_reference_value(self):
         # ((34.7+64.4)*8.9e-6 - 34.7*8.42e-6)/64.4 = 9.1586e-6
-        value = solve_inductor_loss(8.9e-6, 34.7e-15, 64.4e-15, 8.42e-6)
+        value = extract(reference_input()).inductor_loss
         assert value == pytest.approx(9.158633540372669e-6, rel=1e-12)
 
     def test_uniform_loss_gives_same_inductor_loss(self):
-        value = solve_inductor_loss(5e-6, 40e-15, 40e-15, 5e-6)
+        value = extract(reference_input(
+            idc_resonator_loss=5e-6, cpw_loss=5e-6,
+            idc_circuit=DeviceCircuitModel(1.87e-9, 40e-15, 40e-15, "B"),
+        )).inductor_loss
         assert value == pytest.approx(5e-6, rel=1e-12)
 
     def test_inductor_loss_negative_solve(self):
         with pytest.raises(InconsistentInputsError) as info:
-            solve_inductor_loss(5e-6, 90e-15, 10e-15, 1e-5)
+            extract(reference_input(
+                idc_resonator_loss=5e-6, cpw_loss=1e-5,
+                idc_circuit=DeviceCircuitModel(1.87e-9, 90e-15, 10e-15, "B"),
+            ))
         assert info.value.stage == "inductor_loss"
 
     def test_ppc_loss_reference_value(self):
         # ((727.7+82.2)*920e-6 - 82.2*1.12e-5)/727.7 = 1.0227e-3
-        value = solve_ppc_loss(920e-6, 727.7e-15, 82.2e-15, 1.12e-5)
+        value = extract(reference_input(idc_resonator_loss=1.12e-5, cpw_loss=1.12e-5)).ppc_loss
         assert value == pytest.approx(1.0226568091246393e-3, rel=1e-12)
 
     def test_ppc_loss_zero_inductor_limit(self):
-        value = solve_ppc_loss(920e-6, 727.7e-15, 82.2e-15, 0.0)
-        assert value == pytest.approx(1.0239219458568092e-3, rel=1e-12)
+        # equal IDC capacitances and a proxy loss twice the IDC total
+        # give an inductor loss of exactly 0
+        result = extract(reference_input(
+            idc_resonator_loss=5e-6, cpw_loss=1e-5,
+            idc_circuit=DeviceCircuitModel(1.87e-9, 40e-15, 40e-15, "B"),
+        ))
+        assert result.inductor_loss == 0.0
+        assert result.ppc_loss == pytest.approx(1.0239219458568092e-3, rel=1e-12)
 
     def test_ppc_loss_uniform(self):
-        value = solve_ppc_loss(3e-4, 500e-15, 100e-15, 3e-4)
+        value = extract(reference_input(
+            ppc_resonator_loss=3e-4, idc_resonator_loss=3e-4, cpw_loss=3e-4,
+            ppc_circuit=DeviceCircuitModel(2.42e-9, 500e-15, 100e-15, "A"),
+        )).ppc_loss
         assert value == pytest.approx(3e-4, rel=1e-12)
 
     def test_ppc_loss_negative_solve(self):
         with pytest.raises(InconsistentInputsError) as info:
-            solve_ppc_loss(1e-6, 100e-15, 900e-15, 1e-4)
+            extract(reference_input(
+                ppc_resonator_loss=1e-6, idc_resonator_loss=1e-4, cpw_loss=1e-4,
+                ppc_circuit=DeviceCircuitModel(2.42e-9, 100e-15, 900e-15, "A"),
+            ))
         assert info.value.stage == "ppc_loss"
+
+    @pytest.mark.parametrize("device", ["ppc", "idc"])
+    def test_zero_stray_capacitance_rejected(self, device):
+        circuit = DeviceCircuitModel(2e-9, 50e-15, 0.0, device)
+        with pytest.raises(ValueError, match=f"{device.upper()} device: stray"):
+            reference_input(**{f"{device}_circuit": circuit})
 
 
 class TestExtract:

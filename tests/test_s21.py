@@ -36,6 +36,14 @@ class TestComplexSweep:
         with pytest.raises(ValueError):
             ComplexSweep(f, z, 1e-15, 0.1)
 
+    @pytest.mark.parametrize("power, temperature", [
+        (0.0, 0.1), (np.nan, 0.1), (np.inf, 0.1), (1e-15, 0.0), (1e-15, np.nan), (1e-15, np.inf),
+    ])
+    def test_rejects_bad_power_or_temperature(self, power, temperature):
+        f = np.linspace(1e9, 2e9, 32)
+        with pytest.raises(ValueError, match="finite and > 0"):
+            ComplexSweep(f, np.ones(32, dtype=complex), power, temperature)
+
     def test_arrays_are_read_only(self):
         sweep = model_sweep(4.5e9, 1e5, 5e4, 0.1)
         with pytest.raises(ValueError):
@@ -149,6 +157,16 @@ class TestPreprocess:
         sweep = model_sweep(4.5e9, 1e5, 5e4, 0.1)
         with pytest.raises(ValueError):
             calibrate_and_fit(sweep, delay=0.0, baseline=0.0)
+
+    # An infinite baseline is covered in test_cli, in a subprocess: before
+    # the check it made np.linalg.lstsq spin without returning.
+    @pytest.mark.parametrize("delay, baseline", [
+        (np.nan, None), (np.inf, None), (0.0, complex(np.nan, 0.0)),
+    ])
+    def test_non_finite_calibration_rejected(self, delay, baseline):
+        sweep = model_sweep(4.5e9, 1e5, 5e4, 0.1)
+        with pytest.raises(ValueError, match="must be finite"):
+            calibrate_and_fit(sweep, delay=delay, baseline=baseline)
 
 
 class TestFitResonance:

@@ -60,6 +60,12 @@ class TestThermalFactor:
         with pytest.raises(ValueError):
             thermal_factor(OMEGA_A, 0.0)
 
+    @pytest.mark.parametrize("omega0, temperature", [
+        (OMEGA_A, np.nan), (OMEGA_A, np.inf), (np.nan, 0.1), (np.inf, 0.1)])
+    def test_rejects_non_finite(self, omega0, temperature):
+        with pytest.raises(ValueError, match="finite"):
+            thermal_factor(omega0, temperature)
+
 
 class TestLossModel:
     def test_zero_power_zero_temperature_limit(self):
@@ -197,6 +203,7 @@ class TestFitPowerSweep:
         assert not fit.n_c_physical
         assert fit.params.n_c == 1.0
         assert fit.params.f_tan_delta0 == pytest.approx(9.2e-4, rel=1e-6)
+        assert fit.nfev == 1  # no nonlinear parameter: one evaluation
 
     def test_weighted_fit_uses_uncertainties(self):
         p = params()
