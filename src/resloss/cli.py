@@ -412,15 +412,6 @@ def _cmd_error_map(args: argparse.Namespace) -> int:
         axis, grid, curves, fixed, threshold=args.threshold
     )
 
-    out = Path(args.out)
-    curve_name = "inductor_loss" if axis == error_analysis.AXIS_INDUCTOR_LOSS else "participation"
-    fileio.write_table(
-        out / "error_map.csv",
-        {"tool_version": __version__, "axis": axis, "fixed_value": fileio.fmt(emap.fixed_value)},
-        ["capacitor_loss"] + [f"{curve_name}_{fileio.fmt(c)}" for c in emap.curves],
-        ((cap, *row.tolist()) for cap, row in zip(emap.capacitor_loss_grid, emap.signed)),
-    )
-
     boundaries = []
     mask = emap.measurable_mask
     for j, (curve, asymptote) in enumerate(zip(emap.curves, emap.asymptotes())):
@@ -445,7 +436,18 @@ def _cmd_error_map(args: argparse.Namespace) -> int:
         "grid": {"lo": float(grid[0]), "hi": float(grid[-1]), "n": int(grid.size)},
         "curves": boundaries,
     }
+
+    # Everything is computed before either file is written, and the summary's
+    # finite-value check runs first, so a refused value leaves no output.
+    out = Path(args.out)
     fileio.atomic_write_json(out / "error_map_summary.json", summary)
+    curve_name = "inductor_loss" if axis == error_analysis.AXIS_INDUCTOR_LOSS else "participation"
+    fileio.write_table(
+        out / "error_map.csv",
+        {"tool_version": __version__, "axis": axis, "fixed_value": fileio.fmt(emap.fixed_value)},
+        ["capacitor_loss"] + [f"{curve_name}_{fileio.fmt(c)}" for c in emap.curves],
+        np.column_stack([emap.capacitor_loss_grid, emap.signed]),
+    )
     print(f"error-map: wrote {grid.size}x{len(emap.curves)} map to {out}")
     return EXIT_OK
 

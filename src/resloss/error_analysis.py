@@ -83,8 +83,8 @@ class ErrorMap:
 
 def log_grid(lo: float, hi: float, n_points: int) -> np.ndarray:
     """Log-spaced grid with validated bounds."""
-    if not (lo > 0.0 and hi > lo):
-        raise GridRangeError(f"grid bounds must satisfy 0 < lo < hi, got [{lo}, {hi}]")
+    if not (0.0 < lo < hi < np.inf):
+        raise GridRangeError(f"grid bounds must be finite with 0 < lo < hi, got [{lo}, {hi}]")
     if n_points < 2:
         raise GridRangeError(f"grid needs at least 2 points, got {n_points}")
     return np.geomspace(lo, hi, n_points)

@@ -3,11 +3,13 @@ tables and fit reports.
 
 Conventions shared by every writer:
   * numbers round-trip losslessly through text: ``write_table`` writes
-    cells with 17 significant digits, and JSON reports carry Python's
-    shortest round-trip form;
+    cells as ``%.17g`` (17 significant digits, the bytes of ``fmt``), and
+    JSON reports carry Python's shortest round-trip form;
   * delimited files carry ``# key = value`` metadata lines, then a
     header row and comma-separated cells; ``write_table`` writes every
-    such file and ``_read_table`` parses every one;
+    such file, formatting a fixed block of rows at a time so its memory
+    does not grow with the table's length, and ``_read_table`` parses
+    every one;
   * files are written to a temporary name and atomically renamed, so a
     failure never leaves a truncated output;
   * no timestamps are embedded, so identical inputs give identical bytes.
@@ -19,6 +21,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -35,6 +38,10 @@ GHZ = 1e9
 FEMTO = 1e-15
 NANO = 1e-9
 MICRO = 1e-6
+
+# cells per formatted block of ``write_table``: large enough that the
+# per-block cost vanishes, small enough that a block's text stays near 1 MB
+_BLOCK_CELLS = 65536
 
 
 def fmt(value: float) -> str:
@@ -68,13 +75,14 @@ def sha256_digest(path: str | Path) -> str:
     return f"sha256:{digest.hexdigest()}"
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
+def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, one string or an iterable of string chunks, atomically."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -115,7 +123,8 @@ def _read_table(path: str | Path, dtype=float) -> tuple[dict[str, str], np.ndarr
     """
     meta: dict[str, str] = {}
     lines: list[str] = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    text = Path(path).read_text(encoding="utf-8")
+    for raw in text.splitlines():
         line = raw.strip()
         if line.startswith("#"):
             key, equals, value = line.lstrip("#").partition("=")
@@ -133,18 +142,43 @@ def _read_table(path: str | Path, dtype=float) -> tuple[dict[str, str], np.ndarr
         raise ValueError("the first row must be a header")
     if len(lines) <= header:
         raise ValueError("no data rows")
-    # max_rows bounds the buffer numpy allocates for text cells (50000 rows by default)
-    return meta, np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', ndmin=2,
-                            skiprows=int(header and dtype is float), max_rows=len(lines))
+    skip = int(header and dtype is float)
+    try:
+        # max_rows bounds the buffer numpy allocates for text cells (50000 rows by default)
+        cells = np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', ndmin=2,
+                           skiprows=skip, max_rows=len(lines))
+    except ValueError as exc:
+        # Name the file's line. numpy counts only the rows it parses, after the
+        # skipped header: from 0 for a bad cell, from 1 for a changed column count.
+        message = str(exc)
+        row = re.search(r"at row (\d+)", message)
+        if row:
+            index = skip + int(row[1]) - ("number of columns changed" in message)
+            numbers = [number for number, raw in enumerate(text.splitlines(), 1)
+                       if (line := raw.strip()) and not line.startswith("#")]
+            message = message.replace(row[0], f"at line {numbers[index]}", 1)
+        raise ValueError(message) from None
+    return meta, cells
 
 
-def write_table(path: str | Path, meta: dict, header: Sequence[str],
-                rows: Iterable[Iterable[float]]) -> None:
-    """Write ``# key = value`` lines, a header row and numeric rows through fmt."""
-    lines = [f"# {key} = {value}" for key, value in meta.items()]
-    lines.append(",".join(header))
-    lines.extend(",".join(map(fmt, row)) for row in rows)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def write_table(path: str | Path, meta: dict, header: Sequence[str], cells: np.ndarray) -> None:
+    """Write ``# key = value`` lines, a header row and the 2-D float array ``cells``.
+
+    Each block of about ``_BLOCK_CELLS`` cells is formatted by one ``%``
+    operation with ``%.17g`` per cell, which gives the bytes of ``fmt``;
+    the blocks stream to the file, so memory stays bounded by one block.
+    """
+    head = "".join(f"# {key} = {value}\n" for key, value in meta.items()) + ",".join(header)
+    row_template = ",".join(["%.17g"] * cells.shape[1]) + "\n"
+    step = max(1, _BLOCK_CELLS // cells.shape[1])
+
+    def chunks():
+        yield head + "\n"
+        for start in range(0, len(cells), step):
+            block = cells[start:start + step]
+            yield (row_template * len(block)) % tuple(block.ravel().tolist())
+
+    atomic_write_text(path, chunks())
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +192,7 @@ def write_sweep(path: str | Path, sweep: ComplexSweep, extra_meta: dict | None =
         **(extra_meta or {}),
     }
     write_table(path, meta, ["frequency_hz", "re_s21", "im_s21"],
-                zip(sweep.frequencies.tolist(), sweep.s21.real.tolist(), sweep.s21.imag.tolist()))
+                np.column_stack([sweep.frequencies, sweep.s21.real, sweep.s21.imag]))
 
 
 def read_sweep(path: str | Path) -> ComplexSweep:
@@ -193,7 +227,7 @@ def write_power_sweep(
         **(extra_meta or {}),
     }
     write_table(path, meta, ["photon_number", "loss", "loss_sigma"],
-                ((p.photons, p.loss, p.loss_sigma) for p in points))
+                np.array([(p.photons, p.loss, p.loss_sigma) for p in points]).reshape(-1, 3))
 
 
 def read_power_sweep(path: str | Path) -> tuple[list[PowerSweepPoint], float, float, bool]:

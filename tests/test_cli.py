@@ -321,6 +321,14 @@ class TestErrorMapCommand:
         assert run("error-map", "--out", tmp_path, "--grid", "5:1:9") == EXIT_RANGE
         assert run("error-map", "--out", tmp_path, "--grid", "1e-7:1e-1:1") == EXIT_RANGE
 
+    @pytest.mark.parametrize("grid", ["1e-7:inf:5", "1e-7:nan:5", "inf:inf:5"])
+    def test_non_finite_grid_bound_writes_nothing(self, tmp_path, capsys, grid):
+        out = tmp_path / "map"
+        assert run("error-map", "--out", out, "--grid", grid) == EXIT_RANGE
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "finite" in report["message"]
+        assert not out.exists()
+
     def test_determinism(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"

@@ -113,6 +113,11 @@ class TestLogGrid:
         with pytest.raises(GridRangeError):
             log_grid(1e-6, 1e-3, 1)
 
+    @pytest.mark.parametrize("lo, hi", [(1e-7, np.inf), (np.inf, np.inf), (1e-7, np.nan)])
+    def test_non_finite_bounds(self, lo, hi):
+        with pytest.raises(GridRangeError, match="finite"):
+            log_grid(lo, hi, 5)
+
 
 class TestErrorMap:
     def test_inductor_loss_curves_share_asymptote(self):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from helpers import device_a_truth
 from resloss import ComplexSweep, DesignKind, PowerSweepPoint, generate_s21_sweep
 from resloss.fileio import (
+    _BLOCK_CELLS,
     atomic_write_json,
     atomic_write_text,
     dbm_to_watts,
@@ -18,6 +20,7 @@ from resloss.fileio import (
     watts_to_dbm,
     write_power_sweep,
     write_sweep,
+    write_table,
 )
 
 
@@ -77,6 +80,31 @@ class TestSweepFiles:
         with pytest.raises(ValueError, match=match) as info:
             read_sweep(path)
         assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("reader, rows, match", [
+        (read_sweep, "1,2,3\n4,5,6\n7,8\n", "number of columns changed from 3 to 2 at line 9;"),
+        (read_sweep, "1,2,3\n4,,6\n", "could not convert string '' to float64 at line 8,"),
+        (read_power_sweep, "1,2,3\n\n4,5,6\n7,8\n", "columns changed from 3 to 2 at line 10;"),
+        (read_power_sweep, "1,2,3\n# note\n4,5,,\n", "columns changed from 3 to 4 at line 9;"),
+        (read_power_sweep, "1,2,3\n4,x,6\n", "could not convert string 'x' to float64 at line 8,"),
+    ])
+    def test_bad_row_names_the_file_line(self, tmp_path, reader, rows, match):
+        # lines 1-4 metadata, 5 the header, 6 blank; rows start at line 7
+        path = tmp_path / "table.csv"
+        path.write_text("# power_dbm = -100\n# temperature_K = 0.1\n# f0_GHz = 4.5\n# T_K = 0.1\n"
+                        "a,b,c\n\n" + rows)
+        with pytest.raises(ValueError, match=match):
+            reader(path)
+
+    @pytest.mark.parametrize("text, match", [
+        ("1,2,3\n\n4,5\n", "columns changed from 3 to 2 at line 5;"),
+        ("1,2,3\n\n4,,6\n", "convert string '' to float64 at line 5,"),
+    ])
+    def test_bad_row_line_without_header(self, tmp_path, text, match):
+        path = tmp_path / "sweep.csv"
+        path.write_text("# power_dbm = -100\n# temperature_K = 0.1\n" + text)
+        with pytest.raises(ValueError, match=match):
+            read_sweep(path)
 
 
 class TestPowerSweepFiles:
@@ -162,6 +190,7 @@ class TestDeviceTables:
     @pytest.mark.parametrize("text, match", [
         ("1,LE_PPC,x,3.7\n", "header"),
         ("label,design,f0_GHz\nA,LE_PPC\n", "columns"),
+        ("# a = 1\nlabel,design,f0_GHz\n\nA,LE_PPC,3.7\nB,LE_IDC\n", "from 3 to 2 at line 5;"),
         ("label,design,f0_GHz\nA,PPC,3.7\n", "DesignKind"),
         ("label,design,f0_GHz\nA,LE_PPC,-3.7\n", "f0 must be > 0"),
         ("label,f0_GHz\nA,3.7\n", "missing field 'design'"),
@@ -237,6 +266,47 @@ class TestGoldenBytes:
             "9.9999999999999991e-06,1.7279472123987727e-17,0.47862356621480712\n"
             "0.0001,-0.1010790574763268,0\n"
         ).encode()
+
+
+class TestTableWriter:
+    VALUES = (-0.0, 5e-324, 1e308, 0.1, 12.0)
+
+    @pytest.mark.parametrize("columns", [1, 2, 51])
+    @pytest.mark.parametrize("blocks", ["one row", "one block", "two blocks and a row"])
+    def test_bytes_equal_fmt_rows(self, tmp_path, columns, blocks):
+        per_block = _BLOCK_CELLS // columns
+        n_rows = {"one row": 1, "one block": per_block,
+                  "two blocks and a row": 2 * per_block + 1}[blocks]
+        cells = np.resize(np.array(self.VALUES), (n_rows, columns))
+        header = [f"c{j}" for j in range(columns)]
+        path = tmp_path / "table.csv"
+        write_table(path, {"k": "v", "n": fmt(0.1)}, header, cells)
+        expected = "".join(f"{','.join(map(fmt, row))}\n" for row in cells.tolist())
+        assert path.read_bytes() == (
+            "# k = v\n# n = 0.10000000000000001\n" + ",".join(header) + "\n" + expected
+        ).encode()
+
+    def test_memory_does_not_grow_with_rows(self, tmp_path):
+        # the 20001 x 51 table is about 21 MB of text; one block is about 1 MB
+        cells = np.random.default_rng(0).standard_normal((20001, 51))
+        header = [f"c{j}" for j in range(51)]
+        tracemalloc.start()
+        try:
+            write_table(tmp_path / "big.csv", {}, header, cells)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "big.csv").stat().st_size > 20e6
+        assert peak < 8e6
+
+    def test_failed_chunk_leaves_no_file(self, tmp_path):
+        def chunks():
+            yield "first\n"
+            raise RuntimeError("chunk failed")
+
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            atomic_write_text(tmp_path / "table.csv", chunks())
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestAtomicWrites:
