@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -20,7 +22,7 @@ from resloss.cli import (
     main,
 )
 from resloss.fileio import write_power_sweep, write_sweep
-from resloss import PowerSweepPoint, generate_power_sweep
+from resloss import PowerSweepPoint, generate_power_sweep, generate_s21_sweep
 
 
 def run(*args):
@@ -584,3 +586,42 @@ class TestProvenance:
         report = json.loads((out / "extract.json").read_text())
         assert report["tool_version"] == resloss.__version__
         assert report["input_files"][0]["digest"].startswith("sha256:")
+
+
+# SHA-256 of every report of the fit chain on the seed-3 three-device
+# truths (11 powers x 201 points), run from relative paths. A change to
+# the fit arithmetic moves these on purpose or not at all.
+GOLDEN_REPORTS = {
+    "ppc/s21/fit_s21.json": "21688d1e8ebd16c9c05cd8c5147a3269aecefe2fdfe38d930a6a5d85e3e2881e",
+    "ppc/s21/power_sweep.csv": "868b55a1fc828439f7ec1315aacacf9f135ee94d49aa566cb6b2712c6fc45478",
+    "ppc/fixed/fit_tls.json": "371f2215f931ddad7760d9f20de2e140fd59eceecf4166a95acfad5db47d8f35",
+    "ppc/free/fit_tls.json": "7da6609c1143f16096d9d4a533685e019387ddb3d8e0a8b46bda509901ae2717",
+    "idc/s21/fit_s21.json": "fe61b343fc7295b51b62fb7ddecfc8e67b904d01e51734a6c471f7089a5f7a1e",
+    "idc/s21/power_sweep.csv": "b883464654d89f184cdb5fb212ca98497a0a081a11850ed68daa6c7d4f7d5339",
+    "idc/fixed/fit_tls.json": "5ca50419a73a60c151991b0313f1384755d000921ff1b85726d57415800ad1b5",
+    "cpw/s21/fit_s21.json": "1e4e898092abdfebcb5ff5ae23f8fa1a80d8d211a67b941c651cf8afb00d757a",
+    "cpw/s21/power_sweep.csv": "fbcfddd6f0449657028cbf3a4625960faab4dec3076580e5ebdb0f3c139ddd36",
+    "cpw/fixed/fit_tls.json": "d2bec2b4da26d2ddd9e74873e1c6dffa699317d6cca3b471aaa945ac10bbed53",
+    "ext/extract.json": "e6a7ed7035c7269d42ca8823266c3bf5e163514091027afecbf675e0f3714897",
+}
+
+
+class TestGoldenReports:
+    def test_fit_chain_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        # extract.json records the path of its device table
+        shutil.copy(Path(resloss.__file__).parent / "data" / "table1.json", "table1.json")
+        for name, truth in three_device_truths(n_powers=11, n_points=201, seed=3).items():
+            for i in range(len(truth.powers)):
+                write_sweep(Path(name, f"sweep_{i:03d}.csv"), generate_s21_sweep(truth, i))
+            assert run("fit-s21", "--input", name, "--out", f"{name}/s21") == EXIT_OK
+            assert run("fit-tls", "--input", f"{name}/s21/power_sweep.csv",
+                       "--out", f"{name}/fixed") == EXIT_OK
+        assert run("fit-tls", "--input", "ppc/s21/power_sweep.csv", "--beta", "free",
+                   "--out", "ppc/free") == EXIT_OK
+        assert run("extract", "--input", "table1.json", "--ppc-fit", "ppc/fixed/fit_tls.json",
+                   "--idc-fit", "idc/fixed/fit_tls.json", "--cpw-fit", "cpw/fixed/fit_tls.json",
+                   "--out", "ext") == EXIT_OK
+        for path, digest in GOLDEN_REPORTS.items():
+            data = Path(path).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, f"{path}:\n{data.decode()}"
