@@ -89,8 +89,6 @@ class DeviceRecord:
     design: DesignKind
     material: str
     f0: float  # Hz, measured
-    arm_pairs: int | None = None
-    coupling_gap: float | None = None  # m, design metadata only
     circuit: DeviceCircuitModel | None = None
     loss: float | None = None
     loss_err: float | None = None

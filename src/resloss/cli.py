@@ -361,13 +361,13 @@ def _cmd_extract(args: argparse.Namespace) -> int:
                     "C_L_f": idc.circuit.stray_capacitance},
             "cpw": {"loss": losses["cpw"][0], "loss_err": losses["cpw"][1]},
         },
-        "idc_loss_proxy": result.idc_loss_proxy,
+        "idc_loss_proxy": losses["cpw"][0],
         "inductor_loss": result.inductor_loss,
         "inductor_loss_err": result.inductor_loss_err,
         "ppc_loss": result.ppc_loss,
         "ppc_loss_err": result.ppc_loss_err,
-        "single_measurement": result.single_measurement,
-        "single_measurement_err": result.single_measurement_err,
+        "single_measurement": losses["ppc"][0],
+        "single_measurement_err": losses["ppc"][1],
         "fractional_difference": result.fractional_difference,
         **_provenance([path] + sorted(fit_paths.values())),
     }
@@ -387,7 +387,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     print(
         f"extract: inductor loss {result.inductor_loss:.4g}, "
         f"capacitor loss {result.ppc_loss:.4g}, "
-        f"single-measurement {result.single_measurement:.4g} "
+        f"single-measurement {losses['ppc'][0]:.4g} "
         f"(difference {result.fractional_difference:.3f})"
     )
     if "inductor_loss" in ref_values:

@@ -11,7 +11,8 @@ devices sharing the same inductor design separates the two:
     plate capacitor (whose filling factor is 1).
 
 The "single measurement" shortcut assigns the PPC resonator's entire
-measured loss to the capacitor; it is returned alongside for comparison.
+measured loss to the capacitor; its fractional difference from the
+extracted capacitor loss is returned alongside for comparison.
 Both stages solve the same participation-weighted equation, each for a
 different element. The solves are affine, so measurement uncertainties
 propagate exactly to first order.
@@ -60,14 +61,11 @@ class ExtractionInput:
 class ExtractionResult:
     """Extracted losses plus the single-measurement comparison."""
 
-    idc_loss_proxy: float  # CPW loss standing in for the IDC finger loss
     inductor_loss: float
     ppc_loss: float  # extracted dielectric loss of the parallel plate capacitor
-    single_measurement: float  # PPC resonator loss taken at face value
     fractional_difference: float  # (extracted - single) / single
     inductor_loss_err: float = 0.0
     ppc_loss_err: float = 0.0
-    single_measurement_err: float = 0.0
 
 
 def _solve_element(
@@ -100,7 +98,7 @@ def _solve_element(
 
 
 def extract(inputs: ExtractionInput) -> ExtractionResult:
-    """Run the full three-device solve and the single-measurement estimate."""
+    """Run the full three-device solve and compare it with the single measurement."""
     idc, ppc = inputs.idc_circuit, inputs.ppc_circuit
     inductor, inductor_err = _solve_element(
         "inductor_loss",
@@ -118,12 +116,9 @@ def extract(inputs: ExtractionInput) -> ExtractionResult:
     )
     single = inputs.ppc_resonator_loss
     return ExtractionResult(
-        idc_loss_proxy=inputs.cpw_loss,
         inductor_loss=inductor,
         ppc_loss=cap_loss,
-        single_measurement=single,
         fractional_difference=(cap_loss - single) / single,
         inductor_loss_err=inductor_err,
         ppc_loss_err=cap_loss_err,
-        single_measurement_err=inputs.ppc_resonator_loss_err,
     )

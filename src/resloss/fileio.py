@@ -37,7 +37,6 @@ from .tls import PowerSweepPoint
 GHZ = 1e9
 FEMTO = 1e-15
 NANO = 1e-9
-MICRO = 1e-6
 
 # cells per formatted block of ``write_table``: large enough that the
 # per-block cost vanishes, small enough that a block's text stays near 1 MB
@@ -276,15 +275,11 @@ def _record_from_fields(fields: dict) -> DeviceRecord:
             stray_capacitance=stray * FEMTO,
             label=str(fields.get("label", "")),
         )
-    arm_pairs = opt_float("N")
-    gap = opt_float("g_c_um")
     return DeviceRecord(
         label=str(fields.get("label", "")),
         design=design,
         material=str(fields.get("material", "")),
         f0=as_number(fields["f0_GHz"], "device field 'f0_GHz'") * GHZ,
-        arm_pairs=int(arm_pairs) if arm_pairs is not None else None,
-        coupling_gap=gap * MICRO if gap is not None else None,
         circuit=circuit,
         loss=opt_float("loss"),
         loss_err=opt_float("loss_err"),

@@ -38,7 +38,7 @@ _EDGE_FRACTION = 0.05  # per side; the outer 10% of points are off-resonant
 class ComplexSweep:
     """One frequency sweep of complex transmission at fixed power and T."""
 
-    frequencies: np.ndarray  # Hz, strictly increasing
+    frequencies: np.ndarray  # Hz, positive and strictly increasing
     s21: np.ndarray  # complex transmission
     power: float  # W, at the device reference plane
     temperature: float  # K
@@ -58,6 +58,8 @@ class ComplexSweep:
             and np.all(np.isfinite(z.imag))
         ):
             raise ValueError("sweep contains non-finite samples")
+        if not f[0] > 0.0:
+            raise ValueError(f"frequencies must be > 0, got {f[0]}")
         for name in ("power", "temperature"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
@@ -302,13 +304,8 @@ def calibrate_and_fit(
         b = cmath.exp(complex(p[-2], p[-1])) if baseline is None else baseline_0
         return tau, b
 
-    def residuals(p):
-        tau, b = dressing(p)
-        inv = inverse_s21_model(f, p[0], math.exp(p[1]), math.exp(p[2]), p[3])
-        diff = b * np.exp(-2j * math.pi * f_ref * tau) / inv - z
-        return np.concatenate([diff.real, diff.imag])
-
-    def jacobian(p):
+    def model(p):
+        """Residuals and Jacobian of the dressed model at p."""
         tau, b = dressing(p)
         q_i, q_c = math.exp(p[1]), math.exp(p[2])
         inv, (d_f0, d_qi, d_qc, d_phi) = _model_and_jacobian((p[0], q_i, q_c, p[3]), f)
@@ -320,18 +317,11 @@ def calibrate_and_fit(
         if baseline is None:
             cols += [s, 1j * s]
         cols = np.column_stack(cols)
-        return np.concatenate([cols.real, cols.imag])
+        diff = s - z
+        return np.concatenate([diff.real, diff.imag]), np.concatenate([cols.real, cols.imag])
 
-    res = least_squares(
-        residuals,
-        np.array(p0),
-        jac=jacobian,
-        bounds=(lower, upper),
-        ftol=_FTOL,
-        xtol=_FTOL,
-        gtol=_FTOL,
-        max_nfev=_MAX_ITER,
-    )
+    res = least_squares(model, np.array(p0), bounds=(lower, upper), tol=_FTOL,
+                        max_nfev=_MAX_ITER)
 
     result = _build_result(res, f.size)
     if not res.success:
@@ -356,36 +346,39 @@ class LeastSquaresResult:
     fun: np.ndarray  # residuals at x
     jac: np.ndarray  # Jacobian at x
     cost: float  # 0.5 * sum(fun**2)
-    nfev: int  # residual evaluations
+    nfev: int  # model evaluations
     success: bool  # a tolerance was met within max_nfev
 
 
-def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf), ftol=1e-8, xtol=1e-8,
-                  gtol=1e-8, max_nfev=200) -> LeastSquaresResult:
-    """Minimize 0.5*||fun(x)||^2 within box bounds by Levenberg-Marquardt.
+def least_squares(model, x0, bounds=(-np.inf, np.inf), tol=1e-8,
+                  max_nfev=200) -> LeastSquaresResult:
+    """Minimize 0.5*||r(x)||^2 within box bounds by Levenberg-Marquardt.
 
-    Each step solves (J^T J + mu*D^2) dx = -J^T r (Marquardt 1963; More,
-    Lecture Notes in Mathematics 630, 1978). D is the running maximum of
-    the Jacobian's column norms, so the step does not depend on the units
-    of the parameters. The system is solved through the eigendecomposition
-    of the scaled J^T J, or through the SVD of the scaled Jacobian when
-    J^T J is too ill-conditioned to keep its small eigenvalues. The damping
-    mu follows the gain ratio of actual to predicted cost reduction
-    (Nielsen 1999). A step that leaves the box is clipped onto it, and a
-    parameter held at a bound by its gradient is left out of the step.
+    ``model(x)`` returns the residuals r and their Jacobian J at x; it is
+    called once per trial point, and the Jacobian of an accepted trial is
+    the one the next step uses. Each step solves (J^T J + mu*D^2) dx =
+    -J^T r (Marquardt 1963; More, Lecture Notes in Mathematics 630, 1978).
+    D is the running maximum of the Jacobian's column norms, so the step
+    does not depend on the units of the parameters. The system is solved
+    through the eigendecomposition of the scaled J^T J, or through the SVD
+    of the scaled Jacobian when J^T J is too ill-conditioned to keep its
+    small eigenvalues. The damping mu follows the gain ratio of actual to
+    predicted cost reduction (Nielsen 1999). A step that leaves the box is
+    clipped onto it, and a parameter held at a bound by its gradient is
+    left out of the step.
 
-    Stops with success when the scaled gradient max_j |(J^T r)_j| / D_j
-    is <= gtol, when the actual and the predicted relative cost
-    reductions of a step are both <= ftol, or when the scaled step
-    ||D dx|| is <= xtol * (xtol + ||D x||). Returns success=False, at the
-    best point found, when max_nfev residual evaluations pass first.
+    The one tolerance ``tol`` drives three stop rules, each a success: the
+    scaled gradient max_j |(J^T r)_j| / D_j is <= tol; the actual and the
+    predicted relative cost reductions of a step are both <= tol; or the
+    scaled step ||D dx|| is <= tol * (tol + ||D x||). Returns
+    success=False, at the best point found, when max_nfev model
+    evaluations pass first.
     """
     lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), np.shape(x0)) for b in bounds)
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    r = fun(x)
+    r, J = model(x)
     nfev = 1
     cost = 0.5 * float(r @ r)
-    J = jac(x)
     scale = np.zeros(x.size)
     mu, nu = 1e-3, 2.0
     success = False
@@ -394,7 +387,7 @@ def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf), ftol=1e-8, xtol=1e-8,
         g = J.T @ r
         scale = np.maximum(scale, np.sqrt(np.diag(A)))
         free = (scale > 0.0) & ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
-        if np.all(np.abs(g[free]) <= gtol * scale[free]):
+        if np.all(np.abs(g[free]) <= tol * scale[free]):
             success = True
             break
         d = scale[free]
@@ -412,7 +405,7 @@ def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf), ftol=1e-8, xtol=1e-8,
             step[free] = V @ (coef / (lam + mu)) / d
             trial = np.clip(x + step, lo, hi)
             s = trial - x
-            r_trial = fun(trial)
+            r_trial, J_trial = model(trial)
             nfev += 1
             cost_trial = 0.5 * float(r_trial @ r_trial)
             js = J @ s
@@ -420,12 +413,11 @@ def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf), ftol=1e-8, xtol=1e-8,
             actual = cost - cost_trial
             ratio = actual / predicted if predicted > 0.0 else -1.0
             success = (
-                math.sqrt(float(np.sum((scale * s) ** 2))) <= xtol * (xtol + x_norm)
-                or (abs(actual) <= ftol * cost and predicted <= ftol * cost and ratio <= 2.0)
+                math.sqrt(float(np.sum((scale * s) ** 2))) <= tol * (tol + x_norm)
+                or (abs(actual) <= tol * cost and predicted <= tol * cost and ratio <= 2.0)
             )
             if ratio > 1e-4:
-                x, r, cost = trial, r_trial, cost_trial
-                J = jac(x)
+                x, r, J, cost = trial, r_trial, J_trial, cost_trial
                 mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), _MU_MIN)
                 nu = 2.0
                 break

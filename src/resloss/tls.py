@@ -9,7 +9,9 @@ saturates with mean photon number n as
 where F*tan_delta0 is the zero-power, zero-temperature TLS loss (filling
 factor included), n_c the critical photon number and beta is usually close
 to 0.5. At fixed (n_c, beta) the loss is linear in (F*tan_delta0, 1/Q_HP),
-which the power-sweep fit solves exactly at every step.
+which the power-sweep fit solves exactly at every step. The fit holds beta
+at the standard-tunneling-model 0.5, or fits it from that start in
+[0.001, 1] when asked to.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .s21 import hbar, k_B, least_squares, one_sigma_errors
 
 _MAX_ITER = 200
 _FTOL = 1e-14
+_BETA = 0.5  # the fixed saturation exponent, and the seed of a free one
 
 
 def thermal_factor(omega0: float, temperature: float) -> float:
@@ -146,7 +149,6 @@ def fit_power_sweep(
     omega0: float,
     temperature: float,
     *,
-    beta: float = 0.5,
     free_beta: bool = False,
     fractional: bool = False,
 ) -> TlsFitResult:
@@ -159,7 +161,7 @@ def fit_power_sweep(
     Residuals are divided by the per-point uncertainties when every point
     carries one, otherwise by the measured loss (a relative misfit). The
     thermal tanh factor is evaluated from (omega0, temperature), never
-    fitted. ``beta`` is held fixed unless ``free_beta`` is set. With
+    fitted. beta is held at 0.5 unless ``free_beta`` is set. With
     ``fractional`` the photon axis is n/n_c, n_c is pinned to 1 and flagged
     non-physical in the result.
 
@@ -190,7 +192,7 @@ def fit_power_sweep(
     nonlinear = [k for k in range(2 + fit_n_c + free_beta) if k not in linear]
 
     def unpack(u):
-        return (math.exp(u[0]) if fit_n_c else 1.0), (u[-1] if free_beta else beta)
+        return (math.exp(u[0]) if fit_n_c else 1.0), (u[-1] if free_beta else _BETA)
 
     def project(u):
         """Residuals, linear coefficients and full Jacobian at u."""
@@ -207,13 +209,14 @@ def fit_power_sweep(
             cols.append(-tls * np.log1p(x))
         return design @ coef - target, coef, np.column_stack(cols)
 
-    def jacobian(u):
-        # Kaufman (1975): the nonlinear columns projected orthogonal to the
-        # linear columns that are not held at zero.
-        _, coef, jac = project(u)
+    def model(u):
+        # Kaufman (1975): the residuals of one projection, with the nonlinear
+        # columns projected orthogonal to the linear columns that are not
+        # held at zero.
+        r, coef, jac = project(u)
         basis = jac[:, linear][:, coef > 0.0]
         varying = jac[:, nonlinear]
-        return varying - basis @ np.linalg.lstsq(basis, varying, rcond=None)[0]
+        return r, varying - basis @ np.linalg.lstsq(basis, varying, rcond=None)[0]
 
     # Seed: the best of a 25-point ln n_c grid spanning the sampled photon
     # numbers a decade beyond each end.
@@ -221,23 +224,15 @@ def fit_power_sweep(
     if fit_n_c:
         starts = np.log(np.geomspace(n_lo / 10.0, n_hi * 10.0, 25))[:, None]
     if free_beta:
-        starts = np.column_stack([starts, np.full(len(starts), beta)])
+        starts = np.column_stack([starts, np.full(len(starts), _BETA)])
     u0 = min(starts, key=lambda u: float(np.sum(project(u)[0] ** 2)))
 
     lo = ([math.log(n_lo) - 12.0] if fit_n_c else []) + ([1e-3] if free_beta else [])
     hi = ([math.log(n_hi) + 12.0] if fit_n_c else []) + ([1.0] if free_beta else [])
     # With no nonlinear parameter (fractional axis, fixed beta) the solver
     # returns at once with success after one evaluation.
-    res = least_squares(
-        lambda u: project(u)[0],
-        u0,
-        jac=jacobian,
-        bounds=(np.asarray(lo), np.asarray(hi)),
-        ftol=_FTOL,
-        xtol=_FTOL,
-        gtol=_FTOL,
-        max_nfev=_MAX_ITER * (u0.size + 1),
-    )
+    res = least_squares(model, u0, bounds=(np.asarray(lo), np.asarray(hi)), tol=_FTOL,
+                        max_nfev=_MAX_ITER * (u0.size + 1))
 
     r, coef, jac = project(res.x)
     err = one_sigma_errors(jac, r)

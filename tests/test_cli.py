@@ -189,7 +189,9 @@ class TestExtractCommand:
         report = json.loads((out / "extract.json").read_text())
         assert report["inductor_loss"] == pytest.approx(9.158633540372669e-6, rel=1e-12)
         assert report["ppc_loss"] == pytest.approx(1.02288739909713e-3, rel=1e-12)
-        assert report["single_measurement"] == pytest.approx(920e-6, rel=1e-12)
+        assert report["idc_loss_proxy"] == 8.42e-6
+        assert report["single_measurement"] == 920e-6
+        assert report["single_measurement_err"] == 7e-6
         assert report["fractional_difference"] == pytest.approx(0.1118341, rel=1e-6)
         assert "cpw_proxy_assumed" not in report
         reference = report["reference"]
@@ -457,6 +459,20 @@ class TestMalformedInput:
         status = run("fit-s21", "--input", path, "--out", tmp_path / "fits")
         message = self.assert_input_error(status, capsys)["message"]
         assert message.startswith(f"{path}: ") and "finite and > 0" in message
+        assert not (tmp_path / "fits").exists()
+
+    @pytest.mark.parametrize("dip_hz", [-2e5, 0.0])
+    def test_fit_s21_non_positive_frequencies_names_file(self, tmp_path, capsys, dip_hz):
+        # a dip on a -1 to +1 MHz axis: the sweep is refused when read,
+        # before any fit iterate can reach f0 <= 0
+        f = np.linspace(-1e6, 1e6, 201)
+        z = 1.0 - 0.5 / (1.0 + 2j * (f - dip_hz) / 1e5)
+        path = tmp_path / "sweep.csv"
+        path.write_text("# power_dbm = -120\n# temperature_K = 0.1\nfrequency_hz,re_s21,im_s21\n"
+                        + "".join(f"{x!r},{w.real!r},{w.imag!r}\n" for x, w in zip(f.tolist(), z.tolist())))
+        status = run("fit-s21", "--input", path, "--out", tmp_path / "fits")
+        message = self.assert_input_error(status, capsys)["message"]
+        assert str(path) in message and "frequencies must be > 0" in message
         assert not (tmp_path / "fits").exists()
 
     def test_fit_s21_short_row_names_file(self, tmp_path, capsys):

@@ -92,10 +92,8 @@ class TestStages:
 class TestExtract:
     def test_reference_devices(self):
         result = extract(reference_input())
-        assert result.idc_loss_proxy == 8.42e-6
         assert result.inductor_loss == pytest.approx(9.158633540372669e-6, rel=1e-12)
         assert result.ppc_loss == pytest.approx(1.02288739909713e-3, rel=1e-12)
-        assert result.single_measurement == 920e-6
         assert result.fractional_difference == pytest.approx(0.11183412945340215, rel=1e-12)
 
     def test_uncertainty_propagation(self):
@@ -112,7 +110,6 @@ class TestExtract:
             PPC_CIRCUIT.stray_capacitance / PPC_CIRCUIT.cap_capacitance * expected_ind,
         )
         assert result.ppc_loss_err == pytest.approx(expected_ppc, rel=1e-12)
-        assert result.single_measurement_err == 7e-6
 
     def test_uniform_loss_fixed_point(self):
         result = extract(reference_input(
@@ -145,13 +142,13 @@ class TestExtract:
         # the inductor is the quieter element
         low_ind = extract(reference_input())
         assert low_ind.inductor_loss < low_ind.ppc_loss
-        assert low_ind.single_measurement < low_ind.ppc_loss
+        assert low_ind.fractional_difference > 0.0
 
         high_ind = extract(reference_input(
             ppc_resonator_loss=2e-5, idc_resonator_loss=9e-5, cpw_loss=8e-6,
         ))
         assert high_ind.inductor_loss > high_ind.ppc_loss
-        assert high_ind.single_measurement > high_ind.ppc_loss
+        assert high_ind.fractional_difference < 0.0
 
     def test_identical_circuits_rejected(self):
         with pytest.raises(ValueError):

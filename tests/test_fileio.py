@@ -160,8 +160,6 @@ class TestDeviceTables:
         assert ppc.circuit.cap_capacitance == pytest.approx(727.7e-15)
         assert ppc.circuit.stray_capacitance == pytest.approx(82.2e-15)
         assert ppc.circuit.inductance == pytest.approx(2.42e-9)
-        assert ppc.arm_pairs == 17
-        assert ppc.coupling_gap == pytest.approx(3e-6)
         cpw = by_design[DesignKind.CPW]
         assert cpw.circuit is None
         assert cpw.loss == pytest.approx(8.42e-6)

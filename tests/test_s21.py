@@ -29,6 +29,12 @@ class TestComplexSweep:
         with pytest.raises(ValueError):
             ComplexSweep(f, np.ones(32, dtype=complex), 1e-15, 0.1)
 
+    @pytest.mark.parametrize("lo", [-1e6, 0.0])
+    def test_rejects_non_positive_frequencies(self, lo):
+        f = np.linspace(lo, 1e6, 32)
+        with pytest.raises(ValueError, match="frequencies must be > 0"):
+            ComplexSweep(f, np.ones(32, dtype=complex), 1e-15, 0.1)
+
     def test_rejects_non_finite(self):
         f = np.linspace(1e9, 2e9, 32)
         z = np.ones(32, dtype=complex)
