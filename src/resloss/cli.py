@@ -48,27 +48,29 @@ _FIT_ERRORS = (FitFailureError, IllConditionedFitError, OutOfSpanError)
 PHOTON_CONVENTION = "side-coupled: n = 2*Q_l^2*P / (Q_c*hbar*omega0^2)"
 
 
-def _bundled_fixture(name: str) -> Path | None:
-    ref = resources.files("resloss").joinpath("data", f"{name}.json")
-    return Path(str(ref)) if ref.is_file() else None
-
-
-def _resolve_input(spec: str) -> Path:
+def _existing(spec: str) -> Path:
     path = Path(spec)
-    if path.exists():
-        return path
-    bundled = _bundled_fixture(spec)
-    if bundled is not None:
-        return bundled
-    raise FileNotFoundError(f"input {spec!r} is neither a file nor a bundled fixture")
+    if not path.exists():
+        raise FileNotFoundError(f"input {spec!r} does not exist")
+    return path
 
 
-def _single_input(args: argparse.Namespace, required: bool = True) -> Path | None:
-    """The one --input of a command that reads a single file; None when absent."""
+def _single_input(args: argparse.Namespace, required: bool = True) -> str | None:
+    """The one --input spec of a command that reads a single file; None when absent."""
     if len(args.input) > 1 or (required and not args.input):
         quantity = "exactly" if required else "at most"
         raise ValueError(f"{args.command} takes {quantity} one --input, got {len(args.input)}")
-    return _resolve_input(args.input[0]) if args.input else None
+    return args.input[0] if args.input else None
+
+
+def _device_table(spec: str) -> tuple[Path, str]:
+    """The device table's path and the name reports record for it: a bare
+    name that is no file but a bundled fixture, such as 'table1', is
+    recorded as 'builtin:table1', so no report depends on the install path."""
+    ref = resources.files("resloss").joinpath("data", f"{spec}.json")
+    if Path(spec).name == spec and not Path(spec).exists() and ref.is_file():
+        return Path(str(ref)), f"builtin:{spec}"
+    return _existing(spec), str(Path(spec))
 
 
 def _expand_sweep_inputs(specs: list[str]) -> list[Path]:
@@ -116,8 +118,9 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    truth_path = _single_input(args, required=False)
-    if truth_path is not None:
+    spec = _single_input(args, required=False)
+    if spec is not None:
+        truth_path = _existing(spec)
         doc = json.loads(truth_path.read_text(encoding="utf-8"))
         provenance = _provenance([truth_path])
     else:
@@ -251,7 +254,7 @@ def _finite(x: float) -> float | None:
 
 
 def _cmd_fit_tls(args: argparse.Namespace) -> int:
-    path = _single_input(args)
+    path = _existing(_single_input(args))
     points, f0, temperature, fractional = fileio.read_power_sweep(path)
 
     result = fit_power_sweep(
@@ -311,7 +314,7 @@ def _load_fit_loss(path) -> tuple[float, float]:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    path = _single_input(args)
+    path, table_name = _device_table(_single_input(args))
     records, reference = fileio.read_device_table(path)
 
     ppc = _find_record(records, DesignKind.LE_PPC)
@@ -319,7 +322,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     cpw = _find_record(records, DesignKind.CPW)
     # per-device TLS fit reports supplying the losses
     fit_paths = {
-        key: _resolve_input(spec)
+        key: _existing(spec)
         for key in ("ppc", "idc", "cpw")
         if (spec := getattr(args, f"{key}_fit"))
     }
@@ -371,6 +374,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         "fractional_difference": result.fractional_difference,
         **_provenance([path] + sorted(fit_paths.values())),
     }
+    report["input_files"][0]["path"] = table_name
     ref_values = {}
     if reference:
         comparison = {"values": reference}

@@ -49,7 +49,16 @@ def fmt(value: float) -> str:
 
 
 def as_number(value, name: str, kind=float):
-    """``kind(value)``, with a ValueError naming the field for a wrong JSON type."""
+    """``kind(value)``, with a ValueError naming the field for a wrong JSON type.
+
+    A boolean is refused, and an int field takes only an integral number
+    (64 or 64.0), so a count or a seed is never truncated.
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if kind is int and not (isinstance(value, int)
+                            or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     try:
         return kind(value)
     except TypeError:

@@ -27,8 +27,8 @@ TWO_PI = 2.0 * math.pi
 hbar = 6.62607015e-34 / (2.0 * math.pi)  # J s
 k_B = 1.380649e-23  # J/K
 
-_MAX_ITER = 200
-_FTOL = 1e-12
+_TOL = 1e-12  # the one stop tolerance of least_squares, for every fit
+_MAX_NFEV = 200  # model evaluations before least_squares gives up
 _MU_MIN = 1e-12  # damping floor, relative to the unit-scaled J^T J
 _COND_MAX = 1e8  # above this condition number of J^T J, steps come from the SVD of J
 _EDGE_FRACTION = 0.05  # per side; the outer 10% of points are off-resonant
@@ -320,8 +320,7 @@ def calibrate_and_fit(
         diff = s - z
         return np.concatenate([diff.real, diff.imag]), np.concatenate([cols.real, cols.imag])
 
-    res = least_squares(model, np.array(p0), bounds=(lower, upper), tol=_FTOL,
-                        max_nfev=_MAX_ITER)
+    res = least_squares(model, np.array(p0), bounds=(lower, upper))
 
     result = _build_result(res, f.size)
     if not res.success:
@@ -347,11 +346,10 @@ class LeastSquaresResult:
     jac: np.ndarray  # Jacobian at x
     cost: float  # 0.5 * sum(fun**2)
     nfev: int  # model evaluations
-    success: bool  # a tolerance was met within max_nfev
+    success: bool  # a stop rule was met within _MAX_NFEV evaluations
 
 
-def least_squares(model, x0, bounds=(-np.inf, np.inf), tol=1e-8,
-                  max_nfev=200) -> LeastSquaresResult:
+def least_squares(model, x0, bounds=(-np.inf, np.inf)) -> LeastSquaresResult:
     """Minimize 0.5*||r(x)||^2 within box bounds by Levenberg-Marquardt.
 
     ``model(x)`` returns the residuals r and their Jacobian J at x; it is
@@ -367,12 +365,13 @@ def least_squares(model, x0, bounds=(-np.inf, np.inf), tol=1e-8,
     clipped onto it, and a parameter held at a bound by its gradient is
     left out of the step.
 
-    The one tolerance ``tol`` drives three stop rules, each a success: the
-    scaled gradient max_j |(J^T r)_j| / D_j is <= tol; the actual and the
-    predicted relative cost reductions of a step are both <= tol; or the
-    scaled step ||D dx|| is <= tol * (tol + ||D x||). Returns
-    success=False, at the best point found, when max_nfev model
-    evaluations pass first.
+    Every fit runs at one fixed tolerance, tol = ``_TOL``, which drives
+    three stop rules, each a success: the scaled gradient max_j
+    |(J^T r)_j| / D_j is <= tol; the actual and the predicted relative
+    cost reductions of a step are both <= tol; or the scaled step ||D dx||
+    is <= tol * (tol + ||D x||). A tighter tol sits at the rounding floor
+    of the cost and only adds evaluations. Returns success=False, at the
+    best point found, when ``_MAX_NFEV`` model evaluations pass first.
     """
     lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), np.shape(x0)) for b in bounds)
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
@@ -382,12 +381,12 @@ def least_squares(model, x0, bounds=(-np.inf, np.inf), tol=1e-8,
     scale = np.zeros(x.size)
     mu, nu = 1e-3, 2.0
     success = False
-    while not success and nfev < max_nfev:
+    while not success and nfev < _MAX_NFEV:
         A = J.T @ J
         g = J.T @ r
         scale = np.maximum(scale, np.sqrt(np.diag(A)))
         free = (scale > 0.0) & ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
-        if np.all(np.abs(g[free]) <= tol * scale[free]):
+        if np.all(np.abs(g[free]) <= _TOL * scale[free]):
             success = True
             break
         d = scale[free]
@@ -400,7 +399,7 @@ def least_squares(model, x0, bounds=(-np.inf, np.inf), tol=1e-8,
             u, sv, vt = np.linalg.svd(J[:, free] / d, full_matrices=False)
             V, lam, coef = vt.T, sv**2, -sv * (u.T @ r)
         x_norm = math.sqrt(float(np.sum((scale * x) ** 2)))
-        while nfev < max_nfev:
+        while nfev < _MAX_NFEV:
             step = np.zeros(x.size)
             step[free] = V @ (coef / (lam + mu)) / d
             trial = np.clip(x + step, lo, hi)
@@ -413,8 +412,8 @@ def least_squares(model, x0, bounds=(-np.inf, np.inf), tol=1e-8,
             actual = cost - cost_trial
             ratio = actual / predicted if predicted > 0.0 else -1.0
             success = (
-                math.sqrt(float(np.sum((scale * s) ** 2))) <= tol * (tol + x_norm)
-                or (abs(actual) <= tol * cost and predicted <= tol * cost and ratio <= 2.0)
+                math.sqrt(float(np.sum((scale * s) ** 2))) <= _TOL * (_TOL + x_norm)
+                or (abs(actual) <= _TOL * cost and predicted <= _TOL * cost and ratio <= 2.0)
             )
             if ratio > 1e-4:
                 x, r, J, cost = trial, r_trial, J_trial, cost_trial

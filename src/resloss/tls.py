@@ -25,8 +25,6 @@ import numpy as np
 from .errors import FitFailureError, IllConditionedFitError
 from .s21 import hbar, k_B, least_squares, one_sigma_errors
 
-_MAX_ITER = 200
-_FTOL = 1e-14
 _BETA = 0.5  # the fixed saturation exponent, and the seed of a free one
 
 
@@ -231,8 +229,7 @@ def fit_power_sweep(
     hi = ([math.log(n_hi) + 12.0] if fit_n_c else []) + ([1.0] if free_beta else [])
     # With no nonlinear parameter (fractional axis, fixed beta) the solver
     # returns at once with success after one evaluation.
-    res = least_squares(model, u0, bounds=(np.asarray(lo), np.asarray(hi)), tol=_FTOL,
-                        max_nfev=_MAX_ITER * (u0.size + 1))
+    res = least_squares(model, u0, bounds=(np.asarray(lo), np.asarray(hi)))
 
     r, coef, jac = project(res.x)
     err = one_sigma_errors(jac, r)

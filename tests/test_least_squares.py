@@ -4,7 +4,8 @@ scipy is a test-only dependency: the oracle scans rebind the
 ``least_squares`` name that ``resloss.s21`` and ``resloss.tls`` call
 to an adaptor over ``scipy.optimize.least_squares(method="trf")`` and
 refit the same sweeps, so both solvers see the same residuals, Jacobians,
-bounds, Jacobian-norm scaling and tolerances.
+bounds and Jacobian-norm scaling. The oracle runs at tolerances of 1e-14
+and 600 evaluations, tighter than the numpy solver's fixed 1e-12 and 200.
 """
 
 import math
@@ -29,12 +30,11 @@ from resloss.s21 import least_squares
 SIGMA_TOL = 1e-3  # largest solver difference, in units of the oracle's one-sigma error
 
 
-def trf(model, x0, bounds, tol, max_nfev):
-    # The numpy solver always scales by the Jacobian's column norms, and its
-    # one tolerance drives all three of its stop rules.
+def trf(model, x0, bounds):
+    # The numpy solver always scales by the Jacobian's column norms.
     return scipy.optimize.least_squares(
         lambda x: model(x)[0], x0, jac=lambda x: model(x)[1], bounds=bounds,
-        ftol=tol, xtol=tol, gtol=tol, max_nfev=max_nfev, method="trf", x_scale="jac")
+        ftol=1e-14, xtol=1e-14, gtol=1e-14, max_nfev=600, method="trf", x_scale="jac")
 
 
 class TestSolver:
@@ -42,7 +42,7 @@ class TestSolver:
         u = np.linspace(0.0, 1.0, 40)
         x = np.column_stack([np.ones_like(u), 1e6 * u, np.cos(5 * u)])
         y = x @ np.array([1.0, 2e-6, -0.5]) + 1e-3 * np.sin(17 * u)
-        res = least_squares(lambda p: (x @ p - y, x), np.zeros(3), tol=1e-15)
+        res = least_squares(lambda p: (x @ p - y, x), np.zeros(3))
         expected = np.linalg.lstsq(x, y, rcond=None)[0]
         assert res.success
         np.testing.assert_allclose(res.x, expected, rtol=1e-10)
@@ -55,22 +55,23 @@ class TestSolver:
             return (np.array([p[0] - 2.0, p[1] + 1.0, 0.1 * p[0] * p[1]]),
                     np.array([[1.0, 0.0], [0.0, 1.0], [0.1 * p[1], 0.1 * p[0]]]))
 
-        res = least_squares(model, np.array([0.0, 0.0]), bounds=([-5.0, -5.0], [1.5, 5.0]),
-                            tol=1e-14)
+        res = least_squares(model, np.array([0.0, 0.0]), bounds=([-5.0, -5.0], [1.5, 5.0]))
         assert res.success
         assert res.x[0] == 1.5
         # with p0 held, p1 minimizes (p1 + 1)^2 + (0.15 p1)^2
         assert res.x[1] == pytest.approx(-1.0 / 1.0225, rel=1e-7)
 
-    def test_evaluation_cap_reports_failure(self):
+    def test_evaluation_cap_reports_failure(self, monkeypatch):
         def model(p):
             return (np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]]),
                     np.array([[-20.0 * p[0], 10.0], [-1.0, 0.0]]))
 
-        capped = least_squares(model, np.array([-1.2, 1.0]), max_nfev=3)
+        with monkeypatch.context() as patch:
+            patch.setattr(s21, "_MAX_NFEV", 3)
+            capped = least_squares(model, np.array([-1.2, 1.0]))
         assert not capped.success
         assert capped.nfev == 3
-        full = least_squares(model, np.array([-1.2, 1.0]), tol=1e-15)
+        full = least_squares(model, np.array([-1.2, 1.0]))
         assert full.success
         np.testing.assert_allclose(full.x, [1.0, 1.0], rtol=1e-10)
         assert capped.cost > full.cost

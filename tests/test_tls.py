@@ -263,3 +263,28 @@ class TestSeededCoverage:
             assert 0.8 <= np.std(ftd) <= 1.25, (name, np.std(ftd))
             assert 0.8 <= np.std(n_c) <= 1.25, (name, np.std(n_c))
         assert elapsed < 5.0
+
+
+class TestEvaluationCountStability:
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_nfev_steady_under_rounding_level_changes(self, seed):
+        # Losses scaled by 1 + 1e-9 N(0, 1), far below the 0.5% noise, leave
+        # the fit where it is; its evaluation count must not jump either.
+        # With a stop tolerance at the rounding floor of the cost (1e-14)
+        # the ten copies of a case spread over up to 10 evaluations and take
+        # up to 15; at 1e-12 they spread over at most 2 and take at most 8.
+        # The bounds, a spread of 5 and a maximum of 12, sit between the two.
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, 9], dtype=np.uint64)))
+        for name, truth in three_device_truths(n_powers=21, loss_rel_sigma=0.005,
+                                               seed=seed).items():
+            points = generate_power_sweep(truth)
+            for free_beta in (False, True):
+                nfev = []
+                for _ in range(10):
+                    scale = 1.0 + 1e-9 * rng.standard_normal(len(points))
+                    copy = [PowerSweepPoint(p.photons, p.loss * k, p.loss_sigma)
+                            for p, k in zip(points, scale)]
+                    nfev.append(fit_power_sweep(copy, 2 * math.pi * truth.f0, truth.temperature,
+                                                free_beta=free_beta).nfev)
+                assert max(nfev) - min(nfev) <= 5, (name, free_beta, nfev)
+                assert max(nfev) <= 12, (name, free_beta, nfev)
