@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from .errors import (
     InfeasibleGeometryError,
     InvalidModelError,
@@ -146,6 +144,8 @@ def fit_lc(points: Iterable[tuple[float, float]]) -> LcFit:
     squares on (C_cap, y) gives L as the slope and L*C_stray as the
     intercept.
     """
+    import numpy as np
+
     pts = [(float(c), float(f)) for c, f in points]
     if len(pts) < 2:
         raise UnderdeterminedError("need at least 2 (C, f0) points")

@@ -9,6 +9,9 @@ Every output embeds the tool version and the SHA-256 digests of its
 inputs; nothing embeds a timestamp, so reruns on unchanged inputs are
 byte-identical. All inputs are read and validated before the first
 output file is written, and writes are atomic.
+
+Each command imports the stages it runs, and numpy with them; ``extract``
+on a JSON device table loads no numpy.
 """
 
 from __future__ import annotations
@@ -17,13 +20,9 @@ import argparse
 import json
 import math
 import sys
-from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__
-from . import error_analysis, fileio, synth
+from . import __version__, fileio
 from .circuit import DesignKind
 from .errors import (
     FitFailureError,
@@ -33,9 +32,7 @@ from .errors import (
     OutOfSpanError,
     ReslossError,
 )
-from .extraction import ExtractionInput, extract
-from .s21 import calibrate_and_fit, photon_number
-from .tls import PowerSweepPoint, fit_power_sweep
+from .extraction import AXIS_INDUCTOR_LOSS, AXIS_PARTICIPATION, ExtractionInput, extract
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -67,9 +64,9 @@ def _device_table(spec: str) -> tuple[Path, str]:
     """The device table's path and the name reports record for it: a bare
     name that is no file but a bundled fixture, such as 'table1', is
     recorded as 'builtin:table1', so no report depends on the install path."""
-    ref = resources.files("resloss").joinpath("data", f"{spec}.json")
+    ref = Path(__file__).parent / "data" / f"{spec}.json"
     if Path(spec).name == spec and not Path(spec).exists() and ref.is_file():
-        return Path(str(ref)), f"builtin:{spec}"
+        return ref, f"builtin:{spec}"
     return _existing(spec), str(Path(spec))
 
 
@@ -104,27 +101,22 @@ def _csv_provenance_meta(paths: list[Path]) -> dict:
     return meta
 
 
-def _parse_grid(spec: str) -> np.ndarray:
-    try:
-        lo_s, hi_s, n_s = spec.split(":")
-        lo, hi, n = float(lo_s), float(hi_s), int(n_s)
-    except ValueError as exc:
-        raise GridRangeError(f"grid must be lo:hi:npts, got {spec!r}") from exc
-    return error_analysis.log_grid(lo, hi, n)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from . import synth
+
     spec = _single_input(args, required=False)
     if spec is not None:
         truth_path = _existing(spec)
         doc = json.loads(truth_path.read_text(encoding="utf-8"))
         provenance = _provenance([truth_path])
     else:
-        doc = _DEFAULT_TRUTH.copy()
+        doc = {**_DEFAULT_TRUTH, "powers": [float(p) for p in np.geomspace(1e-18, 1e-13, 21)]}
         provenance = {"tool_version": __version__, "input_files": [{"path": "builtin:default-truth"}]}
     if not isinstance(doc, dict):
         raise ValueError("truth must be a JSON object")
@@ -185,6 +177,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit_s21(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from . import s21
+    from .tls import PowerSweepPoint
+
     fixed_baseline = None
     if args.baseline:
         re_s, _, im_s = args.baseline.partition(",")
@@ -198,9 +195,9 @@ def _cmd_fit_s21(args: argparse.Namespace) -> int:
 
     results = []
     for path, sweep in zip(paths, sweeps):
-        fit, delay, baseline = calibrate_and_fit(
+        fit, delay, baseline = s21.calibrate_and_fit(
             sweep, delay=args.delay, baseline=fixed_baseline)
-        n = photon_number(sweep.power, fit.f0, fit.q_i, fit.q_c)
+        n = s21.photon_number(sweep.power, fit.f0, fit.q_i, fit.q_c)
         results.append((path, sweep, fit, n, delay, baseline))
     results.sort(key=lambda item: item[3])
 
@@ -254,12 +251,14 @@ def _finite(x: float) -> float | None:
 
 
 def _cmd_fit_tls(args: argparse.Namespace) -> int:
+    from . import tls
+
     path = _existing(_single_input(args))
     points, f0, temperature, fractional = fileio.read_power_sweep(path)
 
-    result = fit_power_sweep(
+    result = tls.fit_power_sweep(
         points,
-        omega0=2.0 * np.pi * f0,
+        omega0=2.0 * math.pi * f0,
         temperature=temperature,
         free_beta=(args.beta == "free"),
         fractional=fractional,
@@ -306,10 +305,14 @@ def _find_record(records, kind: DesignKind):
 
 def _load_fit_loss(path) -> tuple[float, float]:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a fit report must be a JSON object")
+    params, errors = doc.get("params"), doc.get("uncertainties", {})
+    if not (isinstance(params, dict) and isinstance(errors, dict)):
+        raise ValueError(f"{path}: 'params' and 'uncertainties' must be JSON objects")
     return (
-        fileio.as_number(doc["params"]["f_tan_delta0"], f"{path}: f_tan_delta0"),
-        fileio.as_number(doc.get("uncertainties", {}).get("f_tan_delta0", 0.0),
-                         f"{path}: f_tan_delta0 uncertainty"),
+        fileio.as_number(params["f_tan_delta0"], f"{path}: f_tan_delta0"),
+        fileio.as_number(errors.get("f_tan_delta0", 0.0), f"{path}: f_tan_delta0 uncertainty"),
     )
 
 
@@ -403,10 +406,20 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_error_map(args: argparse.Namespace) -> int:
-    grid = _parse_grid(args.grid or "1e-7:1e-1:61")
+    import numpy as np
+
+    from . import error_analysis
+
+    spec = args.grid or "1e-7:1e-1:61"
+    try:
+        lo_s, hi_s, n_s = spec.split(":")
+        lo, hi, n = float(lo_s), float(hi_s), int(n_s)
+    except ValueError as exc:
+        raise GridRangeError(f"grid must be lo:hi:npts, got {spec!r}") from exc
+    grid = error_analysis.log_grid(lo, hi, n)
     axis = args.axis
     curves = [float(c) for c in args.curves.split(",")] if args.curves else None
-    if axis == error_analysis.AXIS_INDUCTOR_LOSS:
+    if axis == AXIS_INDUCTOR_LOSS:
         curves = curves or [1.12e-7, 1.12e-6, 1.12e-5, 1.12e-4, 1.12e-3]
         fixed = args.fixed if args.fixed is not None else 0.102
     else:
@@ -445,11 +458,10 @@ def _cmd_error_map(args: argparse.Namespace) -> int:
     # finite-value check runs first, so a refused value leaves no output.
     out = Path(args.out)
     fileio.atomic_write_json(out / "error_map_summary.json", summary)
-    curve_name = "inductor_loss" if axis == error_analysis.AXIS_INDUCTOR_LOSS else "participation"
     fileio.write_table(
         out / "error_map.csv",
         {"tool_version": __version__, "axis": axis, "fixed_value": fileio.fmt(emap.fixed_value)},
-        ["capacitor_loss"] + [f"{curve_name}_{fileio.fmt(c)}" for c in emap.curves],
+        ["capacitor_loss"] + [f"{axis}_{fileio.fmt(c)}" for c in emap.curves],
         np.column_stack([emap.capacitor_loss_grid, emap.signed]),
     )
     print(f"error-map: wrote {grid.size}x{len(emap.curves)} map to {out}")
@@ -458,6 +470,7 @@ def _cmd_error_map(args: argparse.Namespace) -> int:
 
 # Strong coupling keeps the loaded linewidth nearly constant while Q_i
 # swings over three decades, so one span and point count serve every power.
+# ``synth`` adds the default powers, 21 log-spaced from 1e-18 to 1e-13 W.
 _DEFAULT_TRUTH = {
     "f0": 3.7464e9,
     "q_c": 3e3,
@@ -469,7 +482,6 @@ _DEFAULT_TRUTH = {
     "temperature": 0.1,
     "span": 7.5e7,
     "n_points": 1001,
-    "powers": [float(p) for p in np.geomspace(1e-18, 1e-13, 21)],
     "s21_sigma": 0.0,
     "delay": 0.0,
     "baseline": [1.0, 0.0],
@@ -522,9 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("error-map", help="tabulate the single-measurement error")
     common(p, None)
-    p.add_argument("--axis", choices=(error_analysis.AXIS_INDUCTOR_LOSS,
-                                      error_analysis.AXIS_PARTICIPATION),
-                   default=error_analysis.AXIS_INDUCTOR_LOSS)
+    p.add_argument("--axis", choices=(AXIS_INDUCTOR_LOSS, AXIS_PARTICIPATION),
+                   default=AXIS_INDUCTOR_LOSS)
     p.add_argument("--grid", default=None, help="capacitor-loss grid lo:hi:npts (log-spaced)")
     p.add_argument("--curves", default=None, help="comma-separated curve values")
     p.add_argument("--fixed", type=float, default=None,

@@ -18,9 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GridRangeError
-
-AXIS_INDUCTOR_LOSS = "inductor_loss"
-AXIS_PARTICIPATION = "participation"
+from .extraction import AXIS_INDUCTOR_LOSS, AXIS_PARTICIPATION
 
 
 def systematic_error(capacitor_loss, inductor_loss, participation):

@@ -26,6 +26,11 @@ from dataclasses import dataclass
 from .circuit import DeviceCircuitModel
 from .errors import InconsistentInputsError
 
+# What the curves of a single-measurement error map enumerate: inductor
+# losses at a fixed participation, or participations at a fixed inductor loss.
+AXIS_INDUCTOR_LOSS = "inductor_loss"
+AXIS_PARTICIPATION = "participation"
+
 
 @dataclass(frozen=True)
 class ExtractionInput:

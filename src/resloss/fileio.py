@@ -13,6 +13,10 @@ Conventions shared by every writer:
   * files are written to a temporary name and atomically renamed, so a
     failure never leaves a truncated output;
   * no timestamps are embedded, so identical inputs give identical bytes.
+
+numpy, ``ComplexSweep`` and ``PowerSweepPoint`` load inside the table and
+sweep functions, so reading a JSON device table or writing a JSON report
+loads none of them.
 """
 
 from __future__ import annotations
@@ -22,17 +26,18 @@ import json
 import math
 import os
 import re
-import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .circuit import DesignKind, DeviceCircuitModel, DeviceRecord
 from .errors import ReslossError
-from .s21 import ComplexSweep
-from .tls import PowerSweepPoint
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .s21 import ComplexSweep
+    from .tls import PowerSweepPoint
 
 GHZ = 1e9
 FEMTO = 1e-15
@@ -84,10 +89,15 @@ def sha256_digest(path: str | Path) -> str:
 
 
 def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
-    """Write ``text``, one string or an iterable of string chunks, atomically."""
+    """Write ``text``, one string or an iterable of string chunks, atomically.
+
+    The temporary file beside the target is created with mode 0666, so
+    the output's mode follows the umask.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.parent / f".{path.name}.{os.urandom(4).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.writelines([text] if isinstance(text, str) else text)
@@ -129,6 +139,8 @@ def _read_table(path: str | Path, dtype=float) -> tuple[dict[str, str], np.ndarr
     and keeps it as row 0. Cells may be quoted, an unquoted ``#`` starts a
     comment, and every row needs the same number of cells.
     """
+    import numpy as np
+
     meta: dict[str, str] = {}
     lines: list[str] = []
     text = Path(path).read_text(encoding="utf-8")
@@ -194,6 +206,8 @@ def write_table(path: str | Path, meta: dict, header: Sequence[str], cells: np.n
 
 
 def write_sweep(path: str | Path, sweep: ComplexSweep, extra_meta: dict | None = None) -> None:
+    import numpy as np
+
     meta = {
         "power_dbm": fmt(watts_to_dbm(sweep.power)),
         "temperature_K": fmt(sweep.temperature),
@@ -204,6 +218,8 @@ def write_sweep(path: str | Path, sweep: ComplexSweep, extra_meta: dict | None =
 
 
 def read_sweep(path: str | Path) -> ComplexSweep:
+    from .s21 import ComplexSweep
+
     with _naming_file(path):
         meta, data = _read_table(path)
         if data.shape[1] < 3:
@@ -228,6 +244,8 @@ def write_power_sweep(
     fractional: bool = False,
     extra_meta: dict | None = None,
 ) -> None:
+    import numpy as np
+
     meta = {
         "f0_GHz": fmt(f0 / GHZ),
         "T_K": fmt(temperature),
@@ -243,6 +261,8 @@ def read_power_sweep(path: str | Path) -> tuple[list[PowerSweepPoint], float, fl
 
     A sweep with two columns has no loss_sigma; its points carry sigma 0.
     """
+    from .tls import PowerSweepPoint
+
     with _naming_file(path):
         meta, data = _read_table(path)
         if data.shape[1] < 2:

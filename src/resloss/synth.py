@@ -62,6 +62,8 @@ class GroundTruth:
             raise ValueError(f"baseline must be a complex scalar, got {self.baseline!r}")
         if self.baseline == 0:
             raise ValueError("baseline must be nonzero")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         object.__setattr__(self, "baseline", complex(self.baseline))
         object.__setattr__(self, "powers", tuple(float(p) for p in self.powers))
 
@@ -78,7 +80,7 @@ class GroundTruth:
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream], dtype=np.uint64)
+    key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -29,6 +29,15 @@ def run(*args):
     return main([str(a) for a in args])
 
 
+def run_fresh(script, *args, cwd=None):
+    """Run ``script`` in a fresh interpreter on this checkout; its last stdout line as JSON."""
+    env = {**os.environ, "PYTHONPATH": str(Path(resloss.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script), *args], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def device_table(tmp_path, *rows):
     """A CSV device table with the standard header and the given rows."""
     path = tmp_path / "devices.csv"
@@ -549,6 +558,24 @@ class TestMalformedInput:
         rows = (tmp_path / "out" / "sweep_000.csv").read_text().splitlines()
         assert len([row for row in rows if row[0].isdigit()]) == 64
 
+    # The noise generator's key holds a 64-bit seed; a wider one would alias another.
+    @pytest.mark.parametrize("seed, option", [(-1, True), (2**64, False)])
+    def test_synth_seed_out_of_range(self, tmp_path, capsys, seed, option):
+        config = tmp_path / "truth.json"
+        config.write_text(json.dumps({**self.TRUTH, "s21_sigma": 1e-3,
+                                      **({} if option else {"seed": seed})}))
+        status = run("synth", "--input", config, *(["--seed", seed] if option else []),
+                     "--out", tmp_path / "out")
+        assert "seed" in self.assert_input_error(status, capsys)["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_synth_seed_at_range_ends(self, tmp_path, seed):
+        config = tmp_path / "truth.json"
+        config.write_text(json.dumps({**self.TRUTH, "s21_sigma": 1e-3, "seed": seed}))
+        assert run("synth", "--input", config, "--out", tmp_path / "out") == EXIT_OK
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())["truth"]["seed"] == seed
+
     @pytest.mark.parametrize("field, value", [
         ("f0_GHz", [3.7464]),
         ("C_C_fF", [727.7]),
@@ -577,6 +604,20 @@ class TestMalformedInput:
         status = run("extract", "--input", "table1", "--ppc-fit", report,
                      "--out", tmp_path / "ext")
         self.assert_input_error(status, capsys)
+
+    @pytest.mark.parametrize("doc", [
+        [1],
+        {"params": []},
+        {"params": None},
+        {"params": {"f_tan_delta0": 9.2e-4}, "uncertainties": []},
+    ], ids=["top-list", "params-list", "params-null", "uncertainties-list"])
+    def test_fit_report_block_of_wrong_json_type(self, tmp_path, capsys, doc):
+        report = tmp_path / "fit_tls.json"
+        report.write_text(json.dumps(doc))
+        status = run("extract", "--input", "table1", "--ppc-fit", report,
+                     "--out", tmp_path / "ext")
+        assert str(report) in self.assert_input_error(status, capsys)["message"]
+        assert not (tmp_path / "ext").exists()
 
     def test_reference_value_of_wrong_json_type(self, tmp_path, capsys):
         doc = json.loads((Path(resloss.__file__).parent / "data" / "table1.json").read_text())
@@ -621,6 +662,94 @@ class TestImportGuard:
         result = json.loads(proc.stdout.strip().splitlines()[-1])
         assert result["statuses"] == [EXIT_OK] * 5
         assert result["scipy"] == []
+
+    @pytest.fixture(scope="class")
+    def fixtures(self, tmp_path_factory):
+        """A small synth and fit-s21 output for the fit commands to read."""
+        base = tmp_path_factory.mktemp("commands")
+        truth = base / "truth.json"
+        truth.write_text(json.dumps({
+            "f0": 3.7464e9, "q_c": 3e3, "phi": 0.05, "f_tan_delta0": 9.2e-4,
+            "n_c": 10.0, "q_hp": 1e6, "temperature": 0.1, "span": 7.5e7,
+            "n_points": 64, "powers": list(np.geomspace(1e-18, 1e-13, 11)),
+        }))
+        assert run("synth", "--input", truth, "--out", base / "fix") == EXIT_OK
+        assert run("fit-s21", "--input", base / "fix", "--out", base / "s21") == EXIT_OK
+        return base
+
+    # Each command in a fresh interpreter, with the modules it must not load.
+    @pytest.mark.parametrize("argv, absent", [
+        (["extract", "--input", "table1"],
+         ["numpy", "resloss.s21", "resloss.tls", "resloss.synth", "resloss.error_analysis"]),
+        (["error-map", "--grid", "1e-7:1e-1:11"], ["resloss.s21", "resloss.tls", "resloss.synth"]),
+        (["fit-tls", "--input", "s21/power_sweep.csv"], ["resloss.synth", "resloss.error_analysis"]),
+        (["fit-s21", "--input", "fix"], ["resloss.synth", "resloss.error_analysis"]),
+        (["synth", "--input", "truth.json"], []),
+    ], ids=["extract", "error-map", "fit-tls", "fit-s21", "synth"])
+    def test_command_loads_only_what_it_runs(self, fixtures, argv, absent):
+        script = """
+            import json, sys
+            from resloss.cli import main
+
+            status = main(sys.argv[1:])
+            print(json.dumps({"status": status, "modules": sorted(sys.modules)}))
+        """
+        result = run_fresh(script, *argv, "--out", f"out_{argv[0]}", cwd=fixtures)
+        assert result["status"] == EXIT_OK
+        loaded = [m for m in result["modules"]
+                  if any(m == name or m.startswith(name + ".") for name in absent + ["scipy"])]
+        assert loaded == []
+
+    def test_package_names_resolve_lazily(self):
+        import importlib
+
+        submodules = sorted(p.stem for p in Path(resloss.__file__).parent.glob("*.py")
+                            if p.stem != "__init__")
+        modules = [importlib.import_module(f"resloss.{name}") for name in submodules]
+        for name in resloss.__all__:
+            value = getattr(resloss, name)
+            homes = [m for m in modules if name in vars(m)]
+            assert homes and all(vars(m)[name] is value for m in homes), name
+        assert set(resloss.__all__) <= set(dir(resloss))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            resloss.no_such_name
+
+        # After a bare import, every submodule is an attribute of the package,
+        # and none of them, nor numpy, is loaded before it is asked for.
+        script = """
+            import json, sys, types
+            import resloss
+
+            loaded = sorted(m for m in sys.modules if m.startswith(("resloss.", "numpy")))
+            reachable = [isinstance(getattr(resloss, name), types.ModuleType)
+                         for name in sys.argv[1:]]
+            print(json.dumps({"loaded": loaded, "reachable": reachable}))
+        """
+        result = run_fresh(script, *submodules)
+        assert result == {"loaded": [], "reachable": [True] * len(submodules)}
+
+
+class TestOutputModes:
+    def test_outputs_follow_the_umask(self, tmp_path):
+        # The umask is set only inside the child.
+        script = """
+            import json, os
+            from resloss.cli import main
+
+            statuses, modes = [], {}
+            for mask in (0o022, 0o077):
+                os.umask(mask)
+                out = f"out_{mask:03o}"
+                for argv in (["extract", "--input", "table1"],
+                             ["error-map", "--grid", "1e-7:1e-1:11"]):
+                    statuses.append(main([*argv, "--out", out]))
+                modes[f"{mask:03o}"] = sorted({oct(os.stat(os.path.join(out, name)).st_mode & 0o777)
+                                               for name in os.listdir(out)})
+            print(json.dumps({"statuses": statuses, "modes": modes}))
+        """
+        result = run_fresh(script, cwd=tmp_path)
+        assert result == {"statuses": [EXIT_OK] * 4,
+                          "modes": {"022": ["0o644"], "077": ["0o600"]}}
 
 
 class TestProvenance:

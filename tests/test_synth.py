@@ -31,6 +31,11 @@ class TestGroundTruth:
             resonator_truth(1e5, baseline=0.0)
         assert resonator_truth(1e5, baseline=np.complex128(0.8 + 0.3j)).baseline == 0.8 + 0.3j
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            resonator_truth(1e5, seed=seed)
+
     def test_tls_params_view(self):
         truth = device_a_truth()
         params = truth.tls_params
