@@ -21,7 +21,7 @@ _EXPORTS = {
     "circuit": ("DesignKind", "DeviceCircuitModel", "DeviceRecord", "LcFit",
                 "capacitance_from_frequency", "fit_lc", "resonance_frequency"),
     "s21": ("ComplexSweep", "ResonatorFitResult", "calibrate_and_fit", "fit_circle",
-            "fit_resonance", "inverse_s21_model", "photon_number"),
+            "inverse_s21_model", "photon_number"),
     "tls": ("PowerSweepPoint", "TlsFitResult", "TlsLossParams", "fit_power_sweep",
             "thermal_factor", "tls_loss", "total_loss"),
     "extraction": ("AXIS_INDUCTOR_LOSS", "AXIS_PARTICIPATION", "ExtractionInput",

@@ -254,19 +254,18 @@ def _cmd_fit_tls(args: argparse.Namespace) -> int:
     from . import tls
 
     path = _existing(_single_input(args))
-    points, f0, temperature, fractional = fileio.read_power_sweep(path)
+    points, f0, temperature = fileio.read_power_sweep(path)
 
     result = tls.fit_power_sweep(
         points,
         omega0=2.0 * math.pi * f0,
         temperature=temperature,
         free_beta=(args.beta == "free"),
-        fractional=fractional,
     )
     out = Path(args.out)
     report = {
         "command": "fit-tls",
-        "options": {"beta": args.beta, "fractional": fractional},
+        "options": {"beta": args.beta},
         "f0_hz": f0,
         "temperature_k": temperature,
         "params": {
@@ -283,7 +282,6 @@ def _cmd_fit_tls(args: argparse.Namespace) -> int:
         },
         "q_hp_lower_limit": _finite(result.q_hp_lower_limit),
         "thermal_factor": result.params.thermal_factor,
-        "n_c_physical": result.n_c_physical,
         "residual_rms": result.residual_rms,
         "nfev": result.nfev,
         **_provenance([path]),
@@ -311,7 +309,7 @@ def _load_fit_loss(path) -> tuple[float, float]:
     if not (isinstance(params, dict) and isinstance(errors, dict)):
         raise ValueError(f"{path}: 'params' and 'uncertainties' must be JSON objects")
     return (
-        fileio.as_number(params["f_tan_delta0"], f"{path}: f_tan_delta0"),
+        fileio.as_number(params.get("f_tan_delta0"), f"{path}: f_tan_delta0"),
         fileio.as_number(errors.get("f_tan_delta0", 0.0), f"{path}: f_tan_delta0 uncertainty"),
     )
 

@@ -22,15 +22,7 @@ class NonphysicalFitError(ReslossError):
 
 
 class FitFailureError(ReslossError):
-    """A nonlinear fit did not converge.
-
-    ``best`` carries the best iterate reached before giving up, when one
-    exists.
-    """
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """A nonlinear fit did not converge."""
 
 
 class OutOfSpanError(ReslossError):

@@ -66,7 +66,7 @@ def as_number(value, name: str, kind=float):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     try:
         return kind(value)
-    except TypeError:
+    except (TypeError, ValueError):
         raise ValueError(f"{name} must be a number, got {value!r}") from None
 
 
@@ -241,25 +241,21 @@ def write_power_sweep(
     points: Sequence[PowerSweepPoint],
     f0: float,
     temperature: float,
-    fractional: bool = False,
     extra_meta: dict | None = None,
 ) -> None:
     import numpy as np
 
-    meta = {
-        "f0_GHz": fmt(f0 / GHZ),
-        "T_K": fmt(temperature),
-        "fractional": "true" if fractional else "false",
-        **(extra_meta or {}),
-    }
+    meta = {"f0_GHz": fmt(f0 / GHZ), "T_K": fmt(temperature), **(extra_meta or {})}
     write_table(path, meta, ["photon_number", "loss", "loss_sigma"],
                 np.array([(p.photons, p.loss, p.loss_sigma) for p in points]).reshape(-1, 3))
 
 
-def read_power_sweep(path: str | Path) -> tuple[list[PowerSweepPoint], float, float, bool]:
-    """Returns (points, f0_hz, temperature_K, fractional).
+def read_power_sweep(path: str | Path) -> tuple[list[PowerSweepPoint], float, float]:
+    """Returns (points, f0_hz, temperature_K).
 
     A sweep with two columns has no loss_sigma; its points carry sigma 0.
+    The photon axis is the physical photon number: a legacy ``fractional``
+    header that marks it as n/n_c is refused.
     """
     from .tls import PowerSweepPoint
 
@@ -267,13 +263,15 @@ def read_power_sweep(path: str | Path) -> tuple[list[PowerSweepPoint], float, fl
         meta, data = _read_table(path)
         if data.shape[1] < 2:
             raise ValueError("a power sweep needs photon_number and loss columns")
+        if meta.get("fractional", "").lower() in ("true", "1", "yes"):
+            raise ValueError(f"fractional = {meta['fractional']}: the photon axis must be "
+                             "the mean photon number, not n/n_c")
         points = [PowerSweepPoint(*row[:3]) for row in data.tolist()]
-        fractional = meta.get("fractional", "false").strip().lower() in ("true", "1", "yes")
         f0, temperature = float(meta["f0_GHz"]) * GHZ, float(meta["T_K"])
         if not (0.0 < f0 < math.inf and 0.0 < temperature < math.inf):
             raise ValueError(f"f0_GHz and T_K must be finite and > 0, got "
                              f"{meta['f0_GHz']} and {meta['T_K']}")
-        return points, f0, temperature, fractional
+        return points, f0, temperature
 
 
 # ---------------------------------------------------------------------------

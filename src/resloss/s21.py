@@ -231,11 +231,6 @@ def _model_and_jacobian(p, f):
     return model, (d_f0, d_qi, d_qc, d_phi)
 
 
-def fit_resonance(sweep: ComplexSweep) -> ResonatorFitResult:
-    """Fit a calibrated sweep: calibrate_and_fit at delay 0 and baseline 1."""
-    return calibrate_and_fit(sweep, 0.0, 1.0 + 0.0j)[0]
-
-
 def calibrate_and_fit(
     sweep: ComplexSweep,
     delay: float | None = None,
@@ -253,8 +248,8 @@ def calibrate_and_fit(
     calibration uncertainty. Returns (fit, delay, baseline).
 
     Raises FitFailureError when no resonance feature is present or the
-    iteration cap is hit (carrying the best iterate), and OutOfSpanError
-    when the resonance converges onto the edge of the swept range.
+    iteration cap is hit, and OutOfSpanError when the resonance converges
+    onto the edge of the swept range.
     """
     f = sweep.frequencies
     z = sweep.s21
@@ -321,12 +316,9 @@ def calibrate_and_fit(
         return np.concatenate([diff.real, diff.imag]), np.concatenate([cols.real, cols.imag])
 
     res = least_squares(model, np.array(p0), bounds=(lower, upper))
-
-    result = _build_result(res, f.size)
     if not res.success:
-        raise FitFailureError(
-            "resonance fit did not converge within the iteration cap", best=result
-        )
+        raise FitFailureError("resonance fit did not converge within the iteration cap")
+    result = _build_result(res, f.size)
     edge = (f[-1] - f[0]) * 1e-9
     if result.f0 <= f[0] + edge or result.f0 >= f[-1] - edge:
         raise OutOfSpanError(

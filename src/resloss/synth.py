@@ -14,6 +14,7 @@ fixtures. Stream i is sweep i; stream 2**32 is the power-sweep noise.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -48,6 +49,10 @@ class GroundTruth:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("f0", "q_c", "phi", "f_tan_delta0", "n_c", "beta", "q_hp", "temperature",
+                     "span", "s21_sigma", "delay", "loss_rel_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.f0 > 0.0 and self.q_c > 0.0):
             raise ValueError("f0 and q_c must be > 0")
         if not self.span > 0.0:
@@ -56,12 +61,13 @@ class GroundTruth:
             raise ValueError(f"need at least 16 points per sweep, got {self.n_points}")
         if self.s21_sigma < 0.0 or self.loss_rel_sigma < 0.0:
             raise ValueError("noise levels must be >= 0")
-        if len(self.powers) == 0 or any(p <= 0.0 for p in self.powers):
-            raise ValueError("powers must be a non-empty list of positive watts")
+        if len(self.powers) == 0 or not all(0.0 < p < math.inf for p in self.powers):
+            raise ValueError(f"powers must be a non-empty list of finite positive watts, "
+                             f"got {list(self.powers)}")
         if not isinstance(self.baseline, numbers.Complex):
             raise ValueError(f"baseline must be a complex scalar, got {self.baseline!r}")
-        if self.baseline == 0:
-            raise ValueError("baseline must be nonzero")
+        if not (cmath.isfinite(self.baseline) and self.baseline != 0):
+            raise ValueError(f"baseline must be finite and nonzero, got {self.baseline}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         object.__setattr__(self, "baseline", complex(self.baseline))

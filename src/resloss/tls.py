@@ -8,10 +8,12 @@ saturates with mean photon number n as
 
 where F*tan_delta0 is the zero-power, zero-temperature TLS loss (filling
 factor included), n_c the critical photon number and beta is usually close
-to 0.5. At fixed (n_c, beta) the loss is linear in (F*tan_delta0, 1/Q_HP),
-which the power-sweep fit solves exactly at every step. The fit holds beta
-at the standard-tunneling-model 0.5, or fits it from that start in
-[0.001, 1] when asked to.
+to 0.5. n is the mean photon number that ``s21.photon_number`` gives for
+each S21 fit, so n_c is always fitted in photons. At fixed (n_c, beta)
+the loss is linear in (F*tan_delta0, 1/Q_HP), which the power-sweep fit
+solves exactly at every step. The fit holds beta at the
+standard-tunneling-model 0.5, or fits it from that start in [0.001, 1]
+when asked to.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ class TlsLossParams:
 class PowerSweepPoint:
     """One measured loss point of a photon-number sweep."""
 
-    photons: float  # mean photon number, or n/n_c when the sweep is fractional
+    photons: float  # mean photon number n
     loss: float
     loss_sigma: float = 0.0
 
@@ -116,7 +118,6 @@ class TlsFitResult:
     q_hp_err: float
     beta_err: float
     residual_rms: float  # RMS of the sigma-normalised loss misfit
-    n_c_physical: bool  # False when the photon axis was fractional n/n_c
     nfev: int  # model evaluations of the solver
     q_hp_lower_limit: float  # one-sided 95% lower limit, 1/(1/q_hp + 1.645 sigma(1/q_hp))
 
@@ -148,7 +149,6 @@ def fit_power_sweep(
     temperature: float,
     *,
     free_beta: bool = False,
-    fractional: bool = False,
 ) -> TlsFitResult:
     """Fit the saturable loss model to a photon-number sweep.
 
@@ -157,15 +157,15 @@ def fit_power_sweep(
     (F*tan_delta0, 1/q_hp), which an exact non-negative solve supplies at
     every evaluation, so the solver only sees ln n_c and, when free, beta.
     Residuals are divided by the per-point uncertainties when every point
-    carries one, otherwise by the measured loss (a relative misfit). The
-    thermal tanh factor is evaluated from (omega0, temperature), never
-    fitted. beta is held at 0.5 unless ``free_beta`` is set. With
-    ``fractional`` the photon axis is n/n_c, n_c is pinned to 1 and flagged
-    non-physical in the result.
+    carries one, or by the measured loss (a relative misfit) when none
+    does; a sweep with some of each is refused. The thermal tanh factor is
+    evaluated from (omega0, temperature), never fitted. beta is held at
+    0.5 unless ``free_beta`` is set.
 
-    Raises IllConditionedFitError when the sweep lacks either the
+    Raises ValueError for too few points, too narrow a span or a partly
+    weighted sweep, IllConditionedFitError when the sweep lacks either the
     unsaturated low-power regime or the saturated high-power regime, and
-    FitFailureError (carrying the best iterate) on non-convergence.
+    FitFailureError on non-convergence.
     """
     if len(points) < 5:
         raise ValueError(f"need at least 5 points, got {len(points)}")
@@ -180,17 +180,20 @@ def fit_power_sweep(
     if n_hi / n_lo < 1e2:
         raise ValueError("points must span at least two decades of photon number")
 
+    weighted = sig > 0.0
+    if weighted.any() and not weighted.all():
+        raise ValueError(f"loss_sigma is 0 on {np.sum(~weighted)} of {sig.size} points; "
+                         "give every point a sigma or none")
     th = thermal_factor(omega0, temperature)
-    s = sig if np.all(sig > 0.0) else y
+    s = sig if weighted.all() else y
     target = y / s
-    fit_n_c = not fractional
-    # Columns of the full Jacobian: [f_tan_delta0, ln n_c?, 1/q_hp, beta?];
-    # the solver's parameters u are the nonlinear ones, [ln n_c?, beta?].
-    linear = [0, 1 + fit_n_c]
-    nonlinear = [k for k in range(2 + fit_n_c + free_beta) if k not in linear]
+    # Columns of the full Jacobian: [f_tan_delta0, ln n_c, 1/q_hp, beta?];
+    # the solver's parameters u are the nonlinear ones, [ln n_c, beta?].
+    linear = [0, 2]
+    nonlinear = [1, 3] if free_beta else [1]
 
     def unpack(u):
-        return (math.exp(u[0]) if fit_n_c else 1.0), (u[-1] if free_beta else _BETA)
+        return math.exp(u[0]), (u[1] if free_beta else _BETA)
 
     def project(u):
         """Residuals, linear coefficients and full Jacobian at u."""
@@ -199,10 +202,7 @@ def fit_power_sweep(
         design = np.column_stack([th / (1.0 + x) ** b, np.ones_like(x)]) / s[:, None]
         coef = _nonneg_solve(design, target)
         tls = coef[0] * design[:, 0]
-        cols = [design[:, 0]]
-        if fit_n_c:
-            cols.append(b * tls * x / (1.0 + x))
-        cols.append(design[:, 1])
+        cols = [design[:, 0], b * tls * x / (1.0 + x), design[:, 1]]
         if free_beta:
             cols.append(-tls * np.log1p(x))
         return design @ coef - target, coef, np.column_stack(cols)
@@ -218,25 +218,23 @@ def fit_power_sweep(
 
     # Seed: the best of a 25-point ln n_c grid spanning the sampled photon
     # numbers a decade beyond each end.
-    starts = np.empty((1, 0))
-    if fit_n_c:
-        starts = np.log(np.geomspace(n_lo / 10.0, n_hi * 10.0, 25))[:, None]
+    starts = np.log(np.geomspace(n_lo / 10.0, n_hi * 10.0, 25))[:, None]
     if free_beta:
         starts = np.column_stack([starts, np.full(len(starts), _BETA)])
     u0 = min(starts, key=lambda u: float(np.sum(project(u)[0] ** 2)))
 
-    lo = ([math.log(n_lo) - 12.0] if fit_n_c else []) + ([1e-3] if free_beta else [])
-    hi = ([math.log(n_hi) + 12.0] if fit_n_c else []) + ([1.0] if free_beta else [])
-    # With no nonlinear parameter (fractional axis, fixed beta) the solver
-    # returns at once with success after one evaluation.
+    lo = [math.log(n_lo) - 12.0] + ([1e-3] if free_beta else [])
+    hi = [math.log(n_hi) + 12.0] + ([1.0] if free_beta else [])
     res = least_squares(model, u0, bounds=(np.asarray(lo), np.asarray(hi)))
+    if not res.success:
+        raise FitFailureError("power-sweep fit did not converge")
 
     r, coef, jac = project(res.x)
     err = one_sigma_errors(jac, r)
     ftd_hat, inv_qhp = coef
     if ftd_hat == 0.0:
         err[nonlinear] = math.inf  # without a TLS term the data do not fix n_c or beta
-    inv_qhp_err = float(err[linear[1]])
+    inv_qhp_err = float(err[2])
     nc_hat, beta_hat = unpack(res.x)
     if inv_qhp > 0.0:
         qhp_hat, qhp_err = 1.0 / inv_qhp, inv_qhp_err / inv_qhp**2
@@ -253,21 +251,18 @@ def fit_power_sweep(
             temperature=float(temperature),
         ),
         f_tan_delta0_err=float(err[0]),
-        n_c_err=float(nc_hat * err[1]) if fit_n_c else 0.0,
+        n_c_err=float(nc_hat * err[1]),
         q_hp_err=float(qhp_err),
         beta_err=float(err[-1]) if free_beta else 0.0,
         residual_rms=float(np.sqrt(np.mean(r**2))),
-        n_c_physical=fit_n_c,
         nfev=int(res.nfev),
         q_hp_lower_limit=float(1.0 / bound) if bound > 0.0 else math.inf,
     )
-    if not res.success:
-        raise FitFailureError("power-sweep fit did not converge", best=result)
 
     # A critical photon number far outside the sampled range means one
     # saturation regime was never measured and the parameters are
     # degenerate. Skip the check when the TLS term is absent altogether.
-    if fit_n_c and ftd_hat * th > 1e-6 * inv_qhp:
+    if ftd_hat * th > 1e-6 * inv_qhp:
         if nc_hat < n_lo / 10.0:
             raise IllConditionedFitError(
                 "all points lie in the TLS-saturated regime; the low-power "

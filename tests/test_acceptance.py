@@ -18,10 +18,10 @@ from resloss import (
     ExtractionInput,
     GroundTruth,
     PowerSweepPoint,
+    calibrate_and_fit,
     extract,
     fit_lc,
     fit_power_sweep,
-    fit_resonance,
     generate_s21_sweep,
     inverse_s21_model,
     participation_asymptote,
@@ -115,7 +115,7 @@ def test_criterion_4_s21_fit_round_trip():
             span = 20 * f0 / loaded_q(q_i, q_c)
             f = np.linspace(f0 - span / 2, f0 + span / 2, 501)
             z = 1.0 / inverse_s21_model(f, f0, q_i, q_c, phi)
-            fit = fit_resonance(ComplexSweep(f, z, 1e-15, 0.1))
+            fit = calibrate_and_fit(ComplexSweep(f, z, 1e-15, 0.1), 0.0, 1.0)[0]
             worst = max(
                 worst,
                 abs(fit.f0 - f0) / f0,
@@ -129,7 +129,7 @@ def test_criterion_4_s21_fit_round_trip():
     for seed in range(100):
         truth = resonator_truth(q_i, q_c=q_c, span_linewidths=10, n_points=2001,
                                 s21_sigma=0.01, seed=seed)
-        fit = fit_resonance(generate_s21_sweep(truth, 0))
+        fit = calibrate_and_fit(generate_s21_sweep(truth, 0), 0.0, 1.0)[0]
         errors.append(abs(fit.q_i - q_i) / q_i)
     median_error = float(np.median(errors))
     elapsed = time.perf_counter() - start

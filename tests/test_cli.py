@@ -390,6 +390,27 @@ class TestMalformedInput:
         status = run("fit-tls", "--input", path, "--out", tmp_path / "tls")
         assert str(path) in self.assert_input_error(status, capsys)["message"]
 
+    # Earlier writers put '# fractional = false' in every power sweep; a true
+    # value marked the photon axis as n/n_c, which is no longer fitted.
+    def test_fit_tls_legacy_fractional_header(self, tmp_path, capsys):
+        points = [PowerSweepPoint(float(n), float(1e-6 + 1e-4 / (1 + n) ** 0.5), 1e-7)
+                  for n in np.geomspace(1e-2, 1e4, 12)]
+        path = tmp_path / "power.csv"
+        write_power_sweep(path, points, f0=4.5e9, temperature=0.1)
+        assert run("fit-tls", "--input", path, "--out", tmp_path / "now") == EXIT_OK
+        text = path.read_text()
+        path.write_text(text.replace("# T_K", "# fractional = false\n# T_K"))
+        assert run("fit-tls", "--input", path, "--out", tmp_path / "legacy") == EXIT_OK
+        now, legacy = (json.loads((tmp_path / d / "fit_tls.json").read_text())
+                       for d in ("now", "legacy"))
+        assert legacy["input_files"] != now["input_files"]
+        assert {**legacy, "input_files": None} == {**now, "input_files": None}
+
+        path.write_text(text.replace("# T_K", "# fractional = True\n# T_K"))
+        status = run("fit-tls", "--input", path, "--out", tmp_path / "true")
+        assert "not n/n_c" in self.assert_input_error(status, capsys)["message"]
+        assert not (tmp_path / "true").exists()
+
     @pytest.mark.parametrize("meta, cells, match", [
         (("abc", "0.1"), lambda k: ("2e-5", "1e-7"), "could not convert"),
         (("4.5", "0.1"), lambda k: ("2e-5", "1e-7") if k else ("2e-5",), "number of columns"),
@@ -543,12 +564,17 @@ class TestMalformedInput:
         ("seed", True),
         ("seed", math.inf),
         ("temperature", True),
+        ("q_c", math.inf),
+        ("s21_sigma", math.nan),
+        ("loss_rel_sigma", math.inf),
+        ("powers", [1e-15, math.inf]),
+        ("phi", math.nan),
     ])
     def test_synth_field_of_wrong_json_type(self, tmp_path, capsys, field, value):
         config = tmp_path / "truth.json"
         config.write_text(json.dumps({**self.TRUTH, field: value}))
         status = run("synth", "--input", config, "--out", tmp_path / "out")
-        self.assert_input_error(status, capsys)
+        assert field in self.assert_input_error(status, capsys)["message"]
         assert not (tmp_path / "out").exists()
 
     def test_synth_integral_float_count(self, tmp_path):
@@ -610,7 +636,8 @@ class TestMalformedInput:
         {"params": []},
         {"params": None},
         {"params": {"f_tan_delta0": 9.2e-4}, "uncertainties": []},
-    ], ids=["top-list", "params-list", "params-null", "uncertainties-list"])
+        {"params": {}},
+    ], ids=["top-list", "params-list", "params-null", "uncertainties-list", "params-empty"])
     def test_fit_report_block_of_wrong_json_type(self, tmp_path, capsys, doc):
         report = tmp_path / "fit_tls.json"
         report.write_text(json.dumps(doc))
@@ -776,16 +803,16 @@ class TestProvenance:
 # the fit arithmetic moves these on purpose or not at all.
 GOLDEN_REPORTS = {
     "ppc/s21/fit_s21.json": "21688d1e8ebd16c9c05cd8c5147a3269aecefe2fdfe38d930a6a5d85e3e2881e",
-    "ppc/s21/power_sweep.csv": "868b55a1fc828439f7ec1315aacacf9f135ee94d49aa566cb6b2712c6fc45478",
-    "ppc/fixed/fit_tls.json": "ff0e81dd8c4251aedbd418d608611aef700a1244daafd97345146f33939fa04d",
-    "ppc/free/fit_tls.json": "297c041babb68d5f367834bb00bf2e9928c3b7807aec6ccc41f600d3a8ca9c8d",
+    "ppc/s21/power_sweep.csv": "9244b7eaff2215aa426373f42f279eb7518a3be863ffa4ae432d6adfab6a67b6",
+    "ppc/fixed/fit_tls.json": "e2548e80bd7c30b2f8b01465d0e65840574625f97c75e966275e52db0884c149",
+    "ppc/free/fit_tls.json": "0c2fea0eb8bd663e133372f92569c90d6b8eb10357626975da2f2659bf142a94",
     "idc/s21/fit_s21.json": "fe61b343fc7295b51b62fb7ddecfc8e67b904d01e51734a6c471f7089a5f7a1e",
-    "idc/s21/power_sweep.csv": "b883464654d89f184cdb5fb212ca98497a0a081a11850ed68daa6c7d4f7d5339",
-    "idc/fixed/fit_tls.json": "3f0f155c33b7aa7bdae50646fc9a3b3be6b2fab844ff15f29bc603e865c84be3",
+    "idc/s21/power_sweep.csv": "097bd82b95095a9b27a04c209f1797d1b73f1cc944210a0cd4ae1623b39a5a8a",
+    "idc/fixed/fit_tls.json": "dbc94c829744e94456bbf37c5a7cf73c09b76a642334b65517f908a20bb4a7c6",
     "cpw/s21/fit_s21.json": "1e4e898092abdfebcb5ff5ae23f8fa1a80d8d211a67b941c651cf8afb00d757a",
-    "cpw/s21/power_sweep.csv": "fbcfddd6f0449657028cbf3a4625960faab4dec3076580e5ebdb0f3c139ddd36",
-    "cpw/fixed/fit_tls.json": "ea5e1cfd38b45983fc919794708603a95d27e1cef0c69c3c73a298349ef58b0d",
-    "ext/extract.json": "e31a884b6df28e88d473c6a7be1f024877a7e7d95de53912764aa7b12ca9e7dc",
+    "cpw/s21/power_sweep.csv": "3ab8d9d5206a51eba610301de0797d8515b0eda14d8c4c4353c3fc108668128f",
+    "cpw/fixed/fit_tls.json": "8802073c55893368669848b15c6492fc71c9be2bf35b0fab08fe794f51963c5c",
+    "ext/extract.json": "8679b10b00f8bbe0f9081f33e6e663e14999f3b06b1bf7df1491aef182ab504f",
 }
 
 

@@ -111,9 +111,8 @@ class TestPowerSweepFiles:
     def test_round_trip_with_flags(self, tmp_path):
         points = [PowerSweepPoint(10.0 ** k, 1e-5 * (k + 2), 1e-8) for k in range(5)]
         path = tmp_path / "power.csv"
-        write_power_sweep(path, points, f0=3.7464e9, temperature=0.1, fractional=True)
-        back, f0, temperature, fractional = read_power_sweep(path)
-        assert fractional is True
+        write_power_sweep(path, points, f0=3.7464e9, temperature=0.1)
+        back, f0, temperature = read_power_sweep(path)
         assert f0 == pytest.approx(3.7464e9, rel=1e-12)
         assert temperature == 0.1
         assert [p.photons for p in back] == [p.photons for p in points]
@@ -123,13 +122,29 @@ class TestPowerSweepFiles:
         points = [PowerSweepPoint(1.0, 1e-5)]
         path = tmp_path / "power.csv"
         write_power_sweep(path, points, f0=5e9, temperature=0.1)
-        _, _, _, fractional = read_power_sweep(path)
-        assert fractional is False
+        assert "fractional" not in path.read_text()
+        assert read_power_sweep(path) == (points, 5e9, 0.1)
+
+    # Earlier writers put a '# fractional' line in every power sweep; a
+    # true value marked the photon axis as n/n_c, which is no longer fitted.
+    @pytest.mark.parametrize("value", ["false", "False", "0", "no", "", "maybe"])
+    def test_legacy_false_header_reads(self, tmp_path, value):
+        path = tmp_path / "power.csv"
+        path.write_text(f"# f0_GHz = 4.5\n# T_K = 0.1\n# fractional = {value}\n1e-2,2e-5,1e-7\n")
+        assert read_power_sweep(path) == ([PowerSweepPoint(1e-2, 2e-5, 1e-7)], 4.5e9, 0.1)
+
+    @pytest.mark.parametrize("value", ["true", "TRUE", "1", "Yes"])
+    def test_legacy_true_header_rejected(self, tmp_path, value):
+        path = tmp_path / "power.csv"
+        path.write_text(f"# f0_GHz = 4.5\n# T_K = 0.1\n# fractional = {value}\n1e-2,2e-5,1e-7\n")
+        with pytest.raises(ValueError, match="not n/n_c") as info:
+            read_power_sweep(path)
+        assert str(info.value).startswith(f"{path}: fractional = {value}:")
 
     def test_two_columns_have_zero_sigma(self, tmp_path):
         path = tmp_path / "power.csv"
         path.write_text("# f0_GHz = 4.5\n# T_K = 0.1\n1e-2,2e-5\n10,1e-5\n")
-        points, f0, temperature, _ = read_power_sweep(path)
+        points, f0, temperature = read_power_sweep(path)
         assert points == [PowerSweepPoint(1e-2, 2e-5), PowerSweepPoint(10.0, 1e-5)]
         assert (f0, temperature) == (4.5e9, 0.1)
 
@@ -233,16 +248,14 @@ class TestGoldenBytes:
             "frequency_hz,re_s21,im_s21\n" + rows
         ).encode()
 
-    @pytest.mark.parametrize("fractional", [False, True])
-    def test_power_sweep(self, tmp_path, fractional):
+    def test_power_sweep(self, tmp_path):
         points = [PowerSweepPoint(0.5, 1e-5, 2e-7), PowerSweepPoint(12.0, 7.5e-6)]
         path = tmp_path / "power.csv"
-        write_power_sweep(path, points, f0=4.5e9, temperature=0.1, fractional=fractional,
+        write_power_sweep(path, points, f0=4.5e9, temperature=0.1,
                           extra_meta={"input_digest_0": "sha256:ab"})
         assert path.read_bytes() == (
             "# f0_GHz = 4.5\n"
             "# T_K = 0.10000000000000001\n"
-            f"# fractional = {'true' if fractional else 'false'}\n"
             "# input_digest_0 = sha256:ab\n"
             "photon_number,loss,loss_sigma\n"
             "0.5,1.0000000000000001e-05,1.9999999999999999e-07\n"

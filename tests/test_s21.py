@@ -10,7 +10,6 @@ from resloss import (
     OutOfSpanError,
     calibrate_and_fit,
     fit_circle,
-    fit_resonance,
     generate_s21_sweep,
     inverse_s21_model,
     photon_number,
@@ -111,7 +110,6 @@ class TestPreprocess:
         sweep = model_sweep(f0, q_i, q_c, phi)
         fit, delay, baseline = calibrate_and_fit(sweep, delay=0.0, baseline=1.0 + 0.0j)
         assert (delay, baseline) == (0.0, 1.0 + 0.0j)
-        assert fit == fit_resonance(sweep)
         assert fit.q_i == pytest.approx(q_i, rel=1e-9)
 
     def test_explicit_inverse_round_trip(self):
@@ -178,7 +176,7 @@ class TestPreprocess:
 class TestFitResonance:
     def test_noise_free_recovery(self):
         f0, q_i, q_c, phi = 4.5548e9, 1.19e5, 3e4, 0.1
-        fit = fit_resonance(model_sweep(f0, q_i, q_c, phi))
+        fit = calibrate_and_fit(model_sweep(f0, q_i, q_c, phi), 0.0, 1.0)[0]
         assert fit.f0 == pytest.approx(f0, rel=1e-6)
         assert fit.q_i == pytest.approx(q_i, rel=1e-6)
         assert fit.q_c == pytest.approx(q_c, rel=1e-6)
@@ -189,14 +187,14 @@ class TestFitResonance:
     def test_loss_matches_reference_scale(self):
         # 1/Q_i = 8.42e-6 style low-loss device
         q_i = 1.0 / 8.42e-6
-        fit = fit_resonance(model_sweep(4.5548e9, q_i, 3e4, 0.1))
+        fit = calibrate_and_fit(model_sweep(4.5548e9, q_i, 3e4, 0.1), 0.0, 1.0)[0]
         assert fit.loss == pytest.approx(8.42e-6, rel=1e-6)
 
     def test_flat_sweep_raises(self):
         f = np.linspace(4.4e9, 4.6e9, 64)
         flat = ComplexSweep(f, np.ones(64, dtype=complex), 1e-15, 0.1)
         with pytest.raises(FitFailureError):
-            fit_resonance(flat)
+            calibrate_and_fit(flat, 0.0, 1.0)
 
     def test_resonance_outside_span_raises(self):
         f0, q_i, q_c = 4.5e9, 1e5, 5e4
@@ -205,7 +203,7 @@ class TestFitResonance:
         z = 1.0 / inverse_s21_model(f, f0, q_i, q_c, 0.1)
         sweep = ComplexSweep(f, z, 1e-15, 0.1)
         with pytest.raises((OutOfSpanError, FitFailureError)):
-            fit_resonance(sweep)
+            calibrate_and_fit(sweep, 0.0, 1.0)
 
     def test_noisy_monte_carlo_median_error(self):
         q_i, q_c = 1.19e5, 3e4
@@ -213,7 +211,7 @@ class TestFitResonance:
         for seed in range(25):
             truth = resonator_truth(q_i, q_c=q_c, span_linewidths=10,
                                     n_points=2001, s21_sigma=0.01, seed=seed)
-            fit = fit_resonance(generate_s21_sweep(truth, 0))
+            fit = calibrate_and_fit(generate_s21_sweep(truth, 0), 0.0, 1.0)[0]
             errors.append(abs(fit.q_i - q_i) / q_i)
         assert float(np.median(errors)) < 0.01
 
@@ -225,7 +223,7 @@ class TestFitResonance:
             for seed in range(15):
                 truth = resonator_truth(q_i, q_c=q_c, n_points=n_points,
                                         s21_sigma=0.005, seed=100 + seed)
-                fit = fit_resonance(generate_s21_sweep(truth, 0))
+                fit = calibrate_and_fit(generate_s21_sweep(truth, 0), 0.0, 1.0)[0]
                 values.append(fit.q_i_err)
             sigmas[n_points] = float(np.median(values))
         ratio = sigmas[256] / sigmas[4096]

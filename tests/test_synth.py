@@ -5,8 +5,8 @@ import pytest
 
 from helpers import HBAR, K_B, device_a_truth, resonator_truth, three_device_truths
 from resloss import (
+    calibrate_and_fit,
     fit_power_sweep,
-    fit_resonance,
     generate_power_sweep,
     generate_s21_sweep,
     photon_number,
@@ -113,7 +113,7 @@ class TestGenerateS21Sweep:
         truth = device_a_truth()
         index = 10
         n_true, qi_true = resonator_state(truth, truth.powers[index])
-        fit = fit_resonance(generate_s21_sweep(truth, index))
+        fit = calibrate_and_fit(generate_s21_sweep(truth, index), 0.0, 1.0)[0]
         assert fit.f0 == pytest.approx(truth.f0, rel=1e-6)
         assert fit.q_i == pytest.approx(qi_true, rel=1e-6)
         assert fit.q_c == pytest.approx(truth.q_c, rel=1e-6)

@@ -196,25 +196,29 @@ class TestFitPowerSweep:
         assert math.isinf(fit.n_c_err)
         assert math.isinf(fit_power_sweep(pts, OMEGA_A, 0.1, free_beta=True).beta_err)
 
-    def test_fractional_photon_axis(self):
-        p = params(n_c=1.0)
-        pts = sweep_points(p, np.geomspace(1e-2, 1e4, 25))
-        fit = fit_power_sweep(pts, OMEGA_A, 0.1, fractional=True)
-        assert not fit.n_c_physical
-        assert fit.params.n_c == 1.0
-        assert fit.params.f_tan_delta0 == pytest.approx(9.2e-4, rel=1e-6)
-        assert fit.nfev == 1  # no nonlinear parameter: one evaluation
-
-    def test_weighted_fit_uses_uncertainties(self):
-        p = params()
+    @staticmethod
+    def weighted_points():
+        """25 noisy points whose sigma alternates between 1% and 8% of the loss."""
         n = np.geomspace(1e-2, 1e4, 25)
-        clean = total_loss(n, p)
+        clean = total_loss(n, params())
         rng = np.random.Generator(np.random.Philox(key=np.array([3, 3], dtype=np.uint64)))
         sigma_rel = np.where(np.arange(n.size) % 2 == 0, 0.01, 0.08)
         noisy = clean * (1.0 + sigma_rel * rng.standard_normal(n.size))
-        pts = [PowerSweepPoint(float(x), float(y), float(s * c))
-               for x, y, s, c in zip(n, noisy, sigma_rel, clean)]
-        fit = fit_power_sweep(pts, OMEGA_A, 0.1)
+        return [PowerSweepPoint(float(x), float(y), float(s * c))
+                for x, y, s, c in zip(n, noisy, sigma_rel, clean)]
+
+    def test_weighted_fit_uses_uncertainties(self):
+        fit = fit_power_sweep(self.weighted_points(), OMEGA_A, 0.1)
+        assert fit.params.f_tan_delta0 == pytest.approx(9.2e-4, rel=0.05)
+
+    def test_partly_weighted_sweep_rejected(self):
+        # One missing sigma would switch every point to relative weighting.
+        pts = self.weighted_points()
+        partly = [*pts[:7], PowerSweepPoint(pts[7].photons, pts[7].loss), *pts[8:]]
+        with pytest.raises(ValueError, match="loss_sigma is 0 on 1 of 25 points"):
+            fit_power_sweep(partly, OMEGA_A, 0.1)
+        unweighted = [PowerSweepPoint(p.photons, p.loss) for p in pts]
+        fit = fit_power_sweep(unweighted, OMEGA_A, 0.1)
         assert fit.params.f_tan_delta0 == pytest.approx(9.2e-4, rel=0.05)
 
     def test_too_few_points_rejected(self):
