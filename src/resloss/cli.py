@@ -111,46 +111,49 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     from . import synth
 
     spec = _single_input(args, required=False)
-    if spec is not None:
-        truth_path = _existing(spec)
-        doc = json.loads(truth_path.read_text(encoding="utf-8"))
+    truth_path = _existing(spec) if spec is not None else None
+    if truth_path is not None:
         provenance = _provenance([truth_path])
     else:
-        doc = {**_DEFAULT_TRUTH, "powers": [float(p) for p in np.geomspace(1e-18, 1e-13, 21)]}
         provenance = {"tool_version": __version__, "input_files": [{"path": "builtin:default-truth"}]}
-    if not isinstance(doc, dict):
-        raise ValueError("truth must be a JSON object")
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    baseline = doc.get("baseline", [1.0, 0.0])
-    if not (isinstance(baseline, list) and len(baseline) == 2):
-        raise ValueError(f"truth baseline must be [re, im], got {baseline!r}")
-    powers = doc["powers"]
-    if not isinstance(powers, list):
-        raise ValueError(f"truth field 'powers' must be a list, got {powers!r}")
+    with fileio.naming_file(provenance["input_files"][0]["path"]):
+        if truth_path is not None:
+            doc = json.loads(truth_path.read_text(encoding="utf-8"))
+        else:
+            doc = {**_DEFAULT_TRUTH, "powers": [float(p) for p in np.geomspace(1e-18, 1e-13, 21)]}
+        if not isinstance(doc, dict):
+            raise ValueError("truth must be a JSON object")
+        if args.seed is not None:
+            doc["seed"] = args.seed
+        baseline = doc.get("baseline", [1.0, 0.0])
+        if not (isinstance(baseline, list) and len(baseline) == 2):
+            raise ValueError(f"truth baseline must be [re, im], got {baseline!r}")
+        powers = doc["powers"]
+        if not isinstance(powers, list):
+            raise ValueError(f"truth field 'powers' must be a list, got {powers!r}")
 
-    def field(key, default=None, kind=float):
-        value = doc[key] if default is None else doc.get(key, default)
-        return fileio.as_number(value, f"truth field {key!r}", kind)
+        def field(key, default=None, kind=float):
+            value = doc[key] if default is None else doc.get(key, default)
+            return fileio.as_number(value, f"truth field {key!r}", kind)
 
-    truth = synth.GroundTruth(
-        f0=field("f0"),
-        q_c=field("q_c"),
-        phi=field("phi", 0.0),
-        f_tan_delta0=field("f_tan_delta0"),
-        n_c=field("n_c"),
-        beta=field("beta", 0.5),
-        q_hp=field("q_hp"),
-        temperature=field("temperature"),
-        span=field("span"),
-        n_points=field("n_points", kind=int),
-        powers=tuple(fileio.as_number(p, "truth field 'powers'") for p in powers),
-        s21_sigma=field("s21_sigma", 0.0),
-        delay=field("delay", 0.0),
-        baseline=complex(*(fileio.as_number(b, "truth baseline") for b in baseline)),
-        loss_rel_sigma=field("loss_rel_sigma", 0.0),
-        seed=field("seed", 0, int),
-    )
+        truth = synth.GroundTruth(
+            f0=field("f0"),
+            q_c=field("q_c"),
+            phi=field("phi", 0.0),
+            f_tan_delta0=field("f_tan_delta0"),
+            n_c=field("n_c"),
+            beta=field("beta", 0.5),
+            q_hp=field("q_hp"),
+            temperature=field("temperature"),
+            span=field("span"),
+            n_points=field("n_points", kind=int),
+            powers=tuple(fileio.as_number(p, "truth field 'powers'") for p in powers),
+            s21_sigma=field("s21_sigma", 0.0),
+            delay=field("delay", 0.0),
+            baseline=complex(*(fileio.as_number(b, "truth baseline") for b in baseline)),
+            loss_rel_sigma=field("loss_rel_sigma", 0.0),
+            seed=field("seed", 0, int),
+        )
 
     out = Path(args.out)
     sweep_files = []
@@ -256,12 +259,14 @@ def _cmd_fit_tls(args: argparse.Namespace) -> int:
     path = _existing(_single_input(args))
     points, f0, temperature = fileio.read_power_sweep(path)
 
-    result = tls.fit_power_sweep(
-        points,
-        omega0=2.0 * math.pi * f0,
-        temperature=temperature,
-        free_beta=(args.beta == "free"),
-    )
+    # a point set the fit refuses names the file; a failed fit keeps its own exit status
+    with fileio.naming_file(path, ValueError):
+        result = tls.fit_power_sweep(
+            points,
+            omega0=2.0 * math.pi * f0,
+            temperature=temperature,
+            free_beta=(args.beta == "free"),
+        )
     out = Path(args.out)
     report = {
         "command": "fit-tls",
@@ -294,11 +299,10 @@ def _cmd_fit_tls(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _find_record(records, kind: DesignKind):
-    matches = [r for r in records if r.design is kind]
-    if len(matches) != 1:
-        raise ValueError(f"device table must contain exactly one {kind.value} row")
-    return matches[0]
+# Each device role's report key and the design that fills it: the PPC and
+# IDC lumped-element resonators, and the CPW resonator that stands in for
+# the IDC fingers. The order is ExtractionInput's loss-field order.
+_ROLES = {"ppc": DesignKind.LE_PPC, "idc": DesignKind.LE_IDC, "cpw": DesignKind.CPW}
 
 
 def _load_fit_loss(path) -> tuple[float, float]:
@@ -317,61 +321,44 @@ def _load_fit_loss(path) -> tuple[float, float]:
 def _cmd_extract(args: argparse.Namespace) -> int:
     path, table_name = _device_table(_single_input(args))
     records, reference = fileio.read_device_table(path)
-
-    ppc = _find_record(records, DesignKind.LE_PPC)
-    idc = _find_record(records, DesignKind.LE_IDC)
-    cpw = _find_record(records, DesignKind.CPW)
-    # per-device TLS fit reports supplying the losses
+    # per-device TLS fit reports supplying the losses; their errors name the report
     fit_paths = {
-        key: _existing(spec)
-        for key in ("ppc", "idc", "cpw")
-        if (spec := getattr(args, f"{key}_fit"))
+        key: _existing(spec) for key in _ROLES if (spec := getattr(args, f"{key}_fit"))
     }
-    losses = {}
-    for key, rec in (("ppc", ppc), ("idc", idc), ("cpw", cpw)):
-        if key in fit_paths:
-            losses[key] = _load_fit_loss(fit_paths[key])
-        elif rec.loss is not None:
-            losses[key] = (rec.loss, rec.loss_err or 0.0)
-        else:
-            raise ValueError(
-                f"device {rec.label or rec.design.value}: no loss in the table "
-                f"and no --{key}-fit report given"
-            )
-    if ppc.circuit is None or idc.circuit is None:
-        raise ValueError("PPC and IDC rows must carry circuit models")
-
-    result = extract(
-        ExtractionInput(
-            ppc_resonator_loss=losses["ppc"][0],
-            idc_resonator_loss=losses["idc"][0],
-            cpw_loss=losses["cpw"][0],
-            ppc_circuit=ppc.circuit,
-            idc_circuit=idc.circuit,
-            ppc_resonator_loss_err=losses["ppc"][1],
-            idc_resonator_loss_err=losses["idc"][1],
-            cpw_loss_err=losses["cpw"][1],
+    losses = {key: _load_fit_loss(fit_path) for key, fit_path in fit_paths.items()}
+    rows = {}
+    with fileio.naming_file(table_name):
+        for key, kind in _ROLES.items():
+            matches = [r for r in records if r.design is kind]
+            if len(matches) != 1:
+                raise ValueError(f"need exactly one {kind.value} row, got {len(matches)}")
+            rows[key] = row = matches[0]
+            if key not in losses:
+                if row.loss is None:
+                    raise ValueError(f"{kind.value} row {row.label!r}: no loss in the table "
+                                     f"and no --{key}-fit report given")
+                losses[key] = (row.loss, row.loss_err or 0.0)
+        inputs = ExtractionInput(
+            *(losses[key][0] for key in _ROLES), rows["ppc"].circuit, rows["idc"].circuit,
+            *(losses[key][1] for key in _ROLES),
         )
-    )
+    result = extract(inputs)
 
     report = {
         "command": "extract",
         "inputs": {
-            "ppc": {"loss": losses["ppc"][0], "loss_err": losses["ppc"][1],
-                    "C_C_f": ppc.circuit.cap_capacitance,
-                    "C_L_f": ppc.circuit.stray_capacitance},
-            "idc": {"loss": losses["idc"][0], "loss_err": losses["idc"][1],
-                    "C_C_f": idc.circuit.cap_capacitance,
-                    "C_L_f": idc.circuit.stray_capacitance},
-            "cpw": {"loss": losses["cpw"][0], "loss_err": losses["cpw"][1]},
+            key: {"loss": loss, "loss_err": loss_err,
+                  **({"C_C_f": c.cap_capacitance, "C_L_f": c.stray_capacitance}
+                     if (c := rows[key].circuit) else {})}
+            for key, (loss, loss_err) in losses.items()
         },
-        "idc_loss_proxy": losses["cpw"][0],
+        "idc_loss_proxy": inputs.cpw_loss,
         "inductor_loss": result.inductor_loss,
         "inductor_loss_err": result.inductor_loss_err,
         "ppc_loss": result.ppc_loss,
         "ppc_loss_err": result.ppc_loss_err,
-        "single_measurement": losses["ppc"][0],
-        "single_measurement_err": losses["ppc"][1],
+        "single_measurement": inputs.ppc_resonator_loss,
+        "single_measurement_err": inputs.ppc_resonator_loss_err,
         "fractional_difference": result.fractional_difference,
         **_provenance([path] + sorted(fit_paths.values())),
     }
@@ -392,7 +379,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     print(
         f"extract: inductor loss {result.inductor_loss:.4g}, "
         f"capacitor loss {result.ppc_loss:.4g}, "
-        f"single-measurement {losses['ppc'][0]:.4g} "
+        f"single-measurement {inputs.ppc_resonator_loss:.4g} "
         f"(difference {result.fractional_difference:.3f})"
     )
     if "inductor_loss" in ref_values:
@@ -523,12 +510,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="run the three-device loss extraction")
     common(p, "device table; 'table1' selects the bundled fixture")
-    p.add_argument("--ppc-fit", default=None,
-                   help="TLS fit report supplying the PPC resonator loss")
-    p.add_argument("--idc-fit", default=None,
-                   help="TLS fit report supplying the IDC resonator loss")
-    p.add_argument("--cpw-fit", default=None,
-                   help="TLS fit report supplying the CPW loss")
+    for key, kind in _ROLES.items():
+        p.add_argument(f"--{key}-fit", default=None,
+                       help=f"TLS fit report supplying the {kind.value} resonator loss")
 
     p = sub.add_parser("error-map", help="tabulate the single-measurement error")
     common(p, None)
@@ -580,7 +564,7 @@ def main(argv=None) -> int:
     except GridRangeError as exc:
         print(_error_report(exc, EXIT_RANGE), file=sys.stderr)
         return EXIT_RANGE
-    except (OSError, ValueError, KeyError, json.JSONDecodeError, ReslossError) as exc:
+    except (OSError, ValueError, KeyError, ReslossError) as exc:
         print(_error_report(exc, EXIT_INPUT), file=sys.stderr)
         return EXIT_INPUT
 

@@ -55,10 +55,14 @@ class ExtractionInput:
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
         for device, circuit in (("PPC", self.ppc_circuit), ("IDC", self.idc_circuit)):
+            if circuit is None:
+                raise ValueError(f"{device} device: no circuit model given")
             if not circuit.stray_capacitance > 0.0:
                 raise ValueError(f"{device} device: stray capacitance must be > 0, "
                                  f"got {circuit.stray_capacitance}")
-        if self.ppc_circuit == self.idc_circuit:
+        ppc, idc = ((c.inductance, c.cap_capacitance, c.stray_capacitance)
+                    for c in (self.ppc_circuit, self.idc_circuit))
+        if ppc == idc:  # the element values, whatever the labels
             raise ValueError("PPC and IDC devices must carry distinct circuit models")
 
 

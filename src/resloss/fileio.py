@@ -56,10 +56,10 @@ def fmt(value: float) -> str:
 def as_number(value, name: str, kind=float):
     """``kind(value)``, with a ValueError naming the field for a wrong JSON type.
 
-    A boolean is refused, and an int field takes only an integral number
-    (64 or 64.0), so a count or a seed is never truncated.
+    A boolean or a string is refused, and an int field takes only an
+    integral number (64 or 64.0), so a count or a seed is never truncated.
     """
-    if isinstance(value, bool):
+    if isinstance(value, (bool, str)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     if kind is int and not (isinstance(value, int)
                             or isinstance(value, float) and value.is_integer()):
@@ -119,13 +119,13 @@ def atomic_write_json(path: str | Path, obj) -> None:
 
 
 @contextmanager
-def _naming_file(path):
-    """Re-raise a bad value or a missing field as a ValueError naming the file."""
+def naming_file(path, errors=(ValueError, ReslossError)):
+    """Re-raise a missing field or one of ``errors`` as a ValueError naming the file."""
     try:
         yield
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc}") from None
-    except (ValueError, ReslossError) as exc:
+    except errors as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -220,7 +220,7 @@ def write_sweep(path: str | Path, sweep: ComplexSweep, extra_meta: dict | None =
 def read_sweep(path: str | Path) -> ComplexSweep:
     from .s21 import ComplexSweep
 
-    with _naming_file(path):
+    with naming_file(path):
         meta, data = _read_table(path)
         if data.shape[1] < 3:
             raise ValueError("a sweep needs frequency_hz, re_s21 and im_s21 columns")
@@ -259,7 +259,7 @@ def read_power_sweep(path: str | Path) -> tuple[list[PowerSweepPoint], float, fl
     """
     from .tls import PowerSweepPoint
 
-    with _naming_file(path):
+    with naming_file(path):
         meta, data = _read_table(path)
         if data.shape[1] < 2:
             raise ValueError("a power sweep needs photon_number and loss columns")
@@ -278,12 +278,19 @@ def read_power_sweep(path: str | Path) -> tuple[list[PowerSweepPoint], float, fl
 # device tables
 
 
-def _record_from_fields(fields: dict) -> DeviceRecord:
+def _csv_number(cell: str, name: str) -> float:
+    """A CSV cell's number, with a ValueError naming the field."""
+    try:
+        return float(cell)
+    except ValueError:
+        raise ValueError(f"{name} must be a number, got {cell!r}") from None
+
+
+def _record_from_fields(fields: dict, number=as_number) -> DeviceRecord:
+    """The record of one table row; ``number`` reads a numeric field's value."""
     def opt_float(key):
         value = fields.get(key)
-        if value is None or (isinstance(value, str) and not value.strip()):
-            return None
-        return as_number(value, f"device field {key!r}")
+        return None if value is None else number(value, f"device field {key!r}")
 
     design = DesignKind(str(fields["design"]).strip())
     cap = opt_float("C_C_fF")
@@ -293,7 +300,7 @@ def _record_from_fields(fields: dict) -> DeviceRecord:
     if any(v is not None for v in (cap, stray, inductance)):
         if None in (cap, stray, inductance):
             raise ValueError(
-                f"device {fields.get('label')}: C_C_fF, C_L_fF and L_nH must "
+                f"device {fields.get('label', '')}: C_C_fF, C_L_fF and L_nH must "
                 "be given together"
             )
         circuit = DeviceCircuitModel(
@@ -306,7 +313,7 @@ def _record_from_fields(fields: dict) -> DeviceRecord:
         label=str(fields.get("label", "")),
         design=design,
         material=str(fields.get("material", "")),
-        f0=as_number(fields["f0_GHz"], "device field 'f0_GHz'") * GHZ,
+        f0=number(fields["f0_GHz"], "device field 'f0_GHz'") * GHZ,
         circuit=circuit,
         loss=opt_float("loss"),
         loss_err=opt_float("loss_err"),
@@ -316,16 +323,19 @@ def _record_from_fields(fields: dict) -> DeviceRecord:
 def read_device_table(path: str | Path) -> tuple[list[DeviceRecord], dict | None]:
     """Parse a device table; returns (records, reference block or None).
 
-    JSON files hold {"devices": [...], "reference": {...}?}; delimited
-    files have a header row of the same names, and blank cells are
-    permitted.
+    JSON files hold {"devices": [...], "reference": {...}?}, and their
+    numeric fields take JSON numbers; delimited files have a header row of
+    the same names, and a blank cell is an absent field.
     """
     path = Path(path)
-    with _naming_file(path):
+    with naming_file(path):
         if path.suffix.lower() != ".json":
             _, table = _read_table(path, dtype=str)
             header = [cell.strip() for cell in table[0]]
-            return [_record_from_fields(dict(zip(header, row))) for row in table[1:]], None
+            return [
+                _record_from_fields({k: v for k, v in zip(header, row) if v.strip()}, _csv_number)
+                for row in table[1:]
+            ], None
         doc = json.loads(path.read_text(encoding="utf-8"))
         devices = doc.get("devices") if isinstance(doc, dict) else None
         reference = doc.get("reference") if isinstance(doc, dict) else None

@@ -304,6 +304,36 @@ class TestExtractCommand:
         assert "IDC device" in report["message"]
 
 
+    @pytest.mark.parametrize("rows, design", [
+        (("A,LE_PPC,x,3.7464,,,727.7,82.2,2.42,920e-6,",
+          "A2,LE_PPC,x,3.7464,,,727.7,82.2,2.42,920e-6,",
+          "B,LE_IDC,x,6.3798,,,34.7,64.4,1.87,8.9e-6,",
+          "C,CPW,x,4.5548,,,,,,8.42e-6,"), "LE_PPC"),
+        (("A,LE_PPC,x,3.7464,,,727.7,82.2,2.42,920e-6,",
+          "B,LE_IDC,x,6.3798,,,34.7,64.4,1.87,8.9e-6,"), "CPW"),
+        (("A,LE_PPC,x,3.7464,,,727.7,82.2,2.42,920e-6,",
+          "B,LE_IDC,x,6.3798,,,,,,8.9e-6,",
+          "C,CPW,x,4.5548,,,,,,8.42e-6,"), "IDC"),
+    ], ids=["two-ppc-rows", "no-cpw-row", "idc-without-circuit"])
+    def test_row_rule_names_table_and_design(self, tmp_path, capsys, rows, design):
+        table = device_table(tmp_path, *rows)
+        assert run("extract", "--input", table, "--out", tmp_path / "ext") == EXIT_INPUT
+        message = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["message"]
+        assert message.startswith(f"{table}: ") and design in message
+        assert not (tmp_path / "ext").exists()
+
+    def test_relabelled_identical_circuits_exit(self, tmp_path, capsys):
+        doc = json.loads((Path(resloss.__file__).parent / "data" / "table1.json").read_text())
+        ppc, idc = doc["devices"][:2]
+        idc.update({key: ppc[key] for key in ("L_nH", "C_C_fF", "C_L_fF")})
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(doc))
+        assert run("extract", "--input", table, "--out", tmp_path / "ext") == EXIT_INPUT
+        message = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["message"]
+        assert message.startswith(f"{table}: ") and "distinct" in message
+        assert not (tmp_path / "ext").exists()
+
+
 class TestErrorMapCommand:
     def test_default_map(self, tmp_path):
         out = tmp_path / "map"
@@ -429,6 +459,21 @@ class TestMalformedInput:
         path.write_text("# f0_GHz = {}\n# T_K = {}\nphoton_number,loss,loss_sigma\n".format(*meta)
                         + "".join(",".join((f"{10.0 ** (k - 2)}", *cells(k))) + "\n"
                                   for k in range(8)))
+        status = run("fit-tls", "--input", path, "--out", tmp_path / "tls")
+        message = self.assert_input_error(status, capsys)["message"]
+        assert message.startswith(f"{path}: ") and match in message
+        assert not (tmp_path / "tls").exists()
+
+    @pytest.mark.parametrize("photons, sigma, match", [
+        (np.geomspace(1e-2, 1e4, 4), lambda k: 1e-7, "at least 5 points"),
+        (np.geomspace(1.0, 50.0, 8), lambda k: 1e-7, "two decades"),
+        (np.geomspace(1e-2, 1e4, 8), lambda k: 0.0 if k == 3 else 1e-7, "loss_sigma is 0"),
+    ], ids=["four-points", "one-decade", "some-sigmas-zero"])
+    def test_fit_tls_refused_point_set_names_file(self, tmp_path, capsys, photons, sigma, match):
+        points = [PowerSweepPoint(float(n), float(1e-6 + 1e-4 / (1 + n) ** 0.5), sigma(k))
+                  for k, n in enumerate(photons)]
+        path = tmp_path / "power.csv"
+        write_power_sweep(path, points, f0=4.5e9, temperature=0.1)
         status = run("fit-tls", "--input", path, "--out", tmp_path / "tls")
         message = self.assert_input_error(status, capsys)["message"]
         assert message.startswith(f"{path}: ") and match in message
@@ -569,6 +614,7 @@ class TestMalformedInput:
         ("loss_rel_sigma", math.inf),
         ("powers", [1e-15, math.inf]),
         ("phi", math.nan),
+        ("q_c", "3e3"),
     ])
     def test_synth_field_of_wrong_json_type(self, tmp_path, capsys, field, value):
         config = tmp_path / "truth.json"
@@ -576,6 +622,33 @@ class TestMalformedInput:
         status = run("synth", "--input", config, "--out", tmp_path / "out")
         assert field in self.assert_input_error(status, capsys)["message"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field", ["f0", "q_c", "f_tan_delta0", "n_c", "q_hp",
+                                       "temperature", "span", "n_points", "powers"])
+    def test_synth_missing_field_names_file(self, tmp_path, capsys, field):
+        config = tmp_path / "truth.json"
+        config.write_text(json.dumps({k: v for k, v in self.TRUTH.items() if k != field}))
+        status = run("synth", "--input", config, "--out", tmp_path / "out")
+        message = self.assert_input_error(status, capsys)["message"]
+        assert message == f"{config}: missing field {field!r}"
+        assert not (tmp_path / "out").exists()
+
+    def test_synth_truth_error_names_file(self, tmp_path, capsys):
+        config = tmp_path / "truth.json"
+        config.write_text(json.dumps({**self.TRUTH, "n_points": 8}))
+        status = run("synth", "--input", config, "--out", tmp_path / "out")
+        message = self.assert_input_error(status, capsys)["message"]
+        assert message == f"{config}: need at least 16 points per sweep, got 8"
+
+    # A JSON number field takes a JSON number, not a string that parses as one.
+    def test_fit_report_string_number_field(self, tmp_path, capsys):
+        report = tmp_path / "fit_tls.json"
+        report.write_text(json.dumps({"params": {"f_tan_delta0": "9.2e-4"}}))
+        status = run("extract", "--input", "table1", "--ppc-fit", report,
+                     "--out", tmp_path / "ext")
+        message = self.assert_input_error(status, capsys)["message"]
+        assert message.startswith(f"{report}: f_tan_delta0")
+        assert not (tmp_path / "ext").exists()
 
     def test_synth_integral_float_count(self, tmp_path):
         config = tmp_path / "truth.json"
@@ -607,6 +680,7 @@ class TestMalformedInput:
         ("C_C_fF", [727.7]),
         ("loss", {"value": 920e-6}),
         ("loss", True),
+        ("C_C_fF", "727.7"),
     ])
     def test_device_table_field_of_wrong_json_type(self, tmp_path, capsys, field, value):
         doc = json.loads((Path(resloss.__file__).parent / "data" / "table1.json").read_text())
@@ -614,7 +688,8 @@ class TestMalformedInput:
         table = tmp_path / "table.json"
         table.write_text(json.dumps(doc))
         status = run("extract", "--input", table, "--out", tmp_path / "ext")
-        self.assert_input_error(status, capsys)
+        assert field in self.assert_input_error(status, capsys)["message"]
+        assert not (tmp_path / "ext").exists()
 
     def test_device_table_entry_not_an_object(self, tmp_path, capsys):
         doc = json.loads((Path(resloss.__file__).parent / "data" / "table1.json").read_text())

@@ -154,6 +154,15 @@ class TestExtract:
         with pytest.raises(ValueError):
             reference_input(idc_circuit=PPC_CIRCUIT)
 
+    def test_relabelled_identical_circuits_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            reference_input(idc_circuit=DeviceCircuitModel(2.42e-9, 727.7e-15, 82.2e-15, "B"))
+
+    @pytest.mark.parametrize("device", ["ppc", "idc"])
+    def test_missing_circuit_rejected(self, device):
+        with pytest.raises(ValueError, match=f"{device.upper()} device: no circuit model"):
+            reference_input(**{f"{device}_circuit": None})
+
     def test_nonpositive_losses_rejected(self):
         with pytest.raises(ValueError):
             reference_input(cpw_loss=0.0)
