@@ -5,10 +5,10 @@ sweeps, ``fit-s21`` turns sweeps into per-power loss points, ``fit-tls``
 fits the saturable loss curve, ``extract`` runs the three-device solve
 and ``error-map`` tabulates the single-measurement systematic error.
 
-Every output embeds the tool version and the SHA-256 digests of its
-inputs; nothing embeds a timestamp, so reruns on unchanged inputs are
-byte-identical. All inputs are read and validated before the first
-output file is written, and writes are atomic.
+Each command resolves its inputs once into (recorded name, path) pairs;
+the name heads the input's errors and its one provenance entry, beside
+its SHA-256 digest. No output embeds a timestamp, so reruns give the same
+bytes. All inputs are validated before any write, and writes are atomic.
 
 Each command imports the stages it runs, and numpy with them; ``extract``
 on a JSON device table loads no numpy.
@@ -17,6 +17,7 @@ on a JSON device table loads no numpy.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -45,11 +46,12 @@ _FIT_ERRORS = (FitFailureError, IllConditionedFitError, OutOfSpanError)
 PHOTON_CONVENTION = "side-coupled: n = 2*Q_l^2*P / (Q_c*hbar*omega0^2)"
 
 
-def _existing(spec: str) -> Path:
+def _existing(spec: str) -> tuple[str, Path]:
+    """The recorded name and path of an input file that must exist."""
     path = Path(spec)
     if not path.exists():
         raise FileNotFoundError(f"input {spec!r} does not exist")
-    return path
+    return str(path), path
 
 
 def _single_input(args: argparse.Namespace, required: bool = True) -> str | None:
@@ -60,45 +62,38 @@ def _single_input(args: argparse.Namespace, required: bool = True) -> str | None
     return args.input[0] if args.input else None
 
 
-def _device_table(spec: str) -> tuple[Path, str]:
-    """The device table's path and the name reports record for it: a bare
-    name that is no file but a bundled fixture, such as 'table1', is
-    recorded as 'builtin:table1', so no report depends on the install path."""
+def _device_table(spec: str) -> tuple[str, Path]:
+    """The device table's recorded name and path: a bare name that is no
+    file but a bundled fixture, such as 'table1', is recorded as
+    'builtin:table1', so no report depends on the install path."""
     ref = Path(__file__).parent / "data" / f"{spec}.json"
     if Path(spec).name == spec and not Path(spec).exists() and ref.is_file():
-        return ref, f"builtin:{spec}"
-    return _existing(spec), str(Path(spec))
+        return f"builtin:{spec}", ref
+    return _existing(spec)
 
 
-def _expand_sweep_inputs(specs: list[str]) -> list[Path]:
+def _expand_sweep_inputs(specs: list[str]) -> list[tuple[str, Path]]:
     paths: list[Path] = []
     for spec in specs:
         path = Path(spec)
         if path.is_dir():
             paths.extend(sorted(path.glob("sweep_*.csv")) or sorted(path.glob("*.csv")))
-        elif path.is_file():
-            paths.append(path)
         else:
-            raise FileNotFoundError(f"input {spec!r} does not exist")
+            paths.append(_existing(spec)[1])
     if not paths:
         raise FileNotFoundError("no sweep files found among the inputs")
-    return paths
+    return [(str(p), p) for p in paths]
 
 
-def _provenance(paths: list[Path]) -> dict:
+def _provenance(inputs: list[tuple[str, Path | None]]) -> dict:
+    """The tool version and each input's name and digest; a built-in input has no path."""
     return {
         "tool_version": __version__,
         "input_files": [
-            {"path": str(p), "digest": fileio.sha256_digest(p)} for p in paths
+            {"path": name, **({"digest": fileio.sha256_digest(path)} if path else {})}
+            for name, path in inputs
         ],
     }
-
-
-def _csv_provenance_meta(paths: list[Path]) -> dict:
-    meta = {"tool_version": __version__}
-    for i, p in enumerate(paths):
-        meta[f"input_digest_{i}"] = fileio.sha256_digest(p)
-    return meta
 
 
 # ---------------------------------------------------------------------------
@@ -111,18 +106,17 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     from . import synth
 
     spec = _single_input(args, required=False)
-    truth_path = _existing(spec) if spec is not None else None
-    if truth_path is not None:
-        provenance = _provenance([truth_path])
-    else:
-        provenance = {"tool_version": __version__, "input_files": [{"path": "builtin:default-truth"}]}
-    with fileio.naming_file(provenance["input_files"][0]["path"]):
+    source = _existing(spec) if spec is not None else ("builtin:default-truth", None)
+    truth_name, truth_path = source
+    with fileio.naming_file(truth_name):
         if truth_path is not None:
             doc = json.loads(truth_path.read_text(encoding="utf-8"))
         else:
             doc = {**_DEFAULT_TRUTH, "powers": [float(p) for p in np.geomspace(1e-18, 1e-13, 21)]}
         if not isinstance(doc, dict):
             raise ValueError("truth must be a JSON object")
+        for key in sorted(doc.keys() - {f.name for f in dataclasses.fields(synth.GroundTruth)}):
+            raise ValueError(f"unknown truth field {key!r}")
         if args.seed is not None:
             doc["seed"] = args.seed
         baseline = doc.get("baseline", [1.0, 0.0])
@@ -172,7 +166,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         "truth": {**doc, "baseline": list(baseline)},
         "sweep_files": sweep_files,
         "power_sweep_file": "power_sweep.csv",
-        **provenance,
+        **_provenance([source]),
     }
     fileio.atomic_write_json(out / "manifest.json", manifest)
     print(f"synth: wrote {len(sweep_files)} sweeps to {out}")
@@ -188,29 +182,33 @@ def _cmd_fit_s21(args: argparse.Namespace) -> int:
     fixed_baseline = None
     if args.baseline:
         re_s, _, im_s = args.baseline.partition(",")
-        fixed_baseline = complex(float(re_s), float(im_s or 0.0))
-    paths = _expand_sweep_inputs(args.input)
-    sweeps = [fileio.read_sweep(p) for p in paths]  # parse everything first
+        try:
+            fixed_baseline = complex(float(re_s), float(im_s or 0.0))
+        except ValueError:
+            raise ValueError(f"--baseline must be re,im, got {args.baseline!r}") from None
+    inputs = _expand_sweep_inputs(args.input)
+    sweeps = [fileio.read_sweep(path) for _, path in inputs]  # parse everything first
     temperatures = sorted({sweep.temperature for sweep in sweeps})
     if len(temperatures) > 1:
         raise ValueError(f"sweeps at several temperatures {temperatures} K; "
                          "fit-s21 takes sweeps at one temperature")
 
     results = []
-    for path, sweep in zip(paths, sweeps):
+    for (name, _), sweep in zip(inputs, sweeps):
         fit, delay, baseline = s21.calibrate_and_fit(
             sweep, delay=args.delay, baseline=fixed_baseline)
         n = s21.photon_number(sweep.power, fit.f0, fit.q_i, fit.q_c)
-        results.append((path, sweep, fit, n, delay, baseline))
+        results.append((name, sweep, fit, n, delay, baseline))
     results.sort(key=lambda item: item[3])
 
     out = Path(args.out)
+    provenance = _provenance(inputs)  # each sweep's digest, for both outputs
     report = {
         "command": "fit-s21",
         "photon_convention": PHOTON_CONVENTION,
         "results": [
             {
-                "file": str(path),
+                "file": name,
                 "power_w": sweep.power,
                 "temperature_k": sweep.temperature,
                 "f0_hz": fit.f0,
@@ -229,9 +227,9 @@ def _cmd_fit_s21(args: argparse.Namespace) -> int:
                 "delay_s": delay,
                 "baseline": [baseline.real, baseline.imag],
             }
-            for path, sweep, fit, n, delay, baseline in results
+            for name, sweep, fit, n, delay, baseline in results
         ],
-        **_provenance(paths),
+        **provenance,
     }
     fileio.atomic_write_json(out / "fit_s21.json", report)
 
@@ -242,7 +240,8 @@ def _cmd_fit_s21(args: argparse.Namespace) -> int:
     f0_mean = float(np.mean([fit.f0 for _, _, fit, *_ in results]))
     fileio.write_power_sweep(
         out / "power_sweep.csv", points, f0_mean, temperatures[0],
-        extra_meta=_csv_provenance_meta(paths),
+        extra_meta={"tool_version": __version__, **{f"input_digest_{i}": entry["digest"]
+                    for i, entry in enumerate(provenance["input_files"])}},
     )
     print(f"fit-s21: fitted {len(results)} sweeps, wrote {out / 'fit_s21.json'}")
     return EXIT_OK
@@ -256,11 +255,11 @@ def _finite(x: float) -> float | None:
 def _cmd_fit_tls(args: argparse.Namespace) -> int:
     from . import tls
 
-    path = _existing(_single_input(args))
+    name, path = source = _existing(_single_input(args))
     points, f0, temperature = fileio.read_power_sweep(path)
 
     # a point set the fit refuses names the file; a failed fit keeps its own exit status
-    with fileio.naming_file(path, ValueError):
+    with fileio.naming_file(name, ValueError):
         result = tls.fit_power_sweep(
             points,
             omega0=2.0 * math.pi * f0,
@@ -289,7 +288,7 @@ def _cmd_fit_tls(args: argparse.Namespace) -> int:
         "thermal_factor": result.params.thermal_factor,
         "residual_rms": result.residual_rms,
         "nfev": result.nfev,
-        **_provenance([path]),
+        **_provenance([source]),
     }
     fileio.atomic_write_json(out / "fit_tls.json", report)
     print(
@@ -305,27 +304,29 @@ def _cmd_fit_tls(args: argparse.Namespace) -> int:
 _ROLES = {"ppc": DesignKind.LE_PPC, "idc": DesignKind.LE_IDC, "cpw": DesignKind.CPW}
 
 
-def _load_fit_loss(path) -> tuple[float, float]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: a fit report must be a JSON object")
-    params, errors = doc.get("params"), doc.get("uncertainties", {})
-    if not (isinstance(params, dict) and isinstance(errors, dict)):
-        raise ValueError(f"{path}: 'params' and 'uncertainties' must be JSON objects")
-    return (
-        fileio.as_number(params.get("f_tan_delta0"), f"{path}: f_tan_delta0"),
-        fileio.as_number(errors.get("f_tan_delta0", 0.0), f"{path}: f_tan_delta0 uncertainty"),
-    )
+def _load_fit_loss(name: str, path: Path) -> tuple[float, float]:
+    """A TLS fit report's f_tan_delta0 and its uncertainty; errors name the report."""
+    with fileio.naming_file(name):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise ValueError("a fit report must be a JSON object")
+        params, errors = doc.get("params"), doc.get("uncertainties", {})
+        if not (isinstance(params, dict) and isinstance(errors, dict)):
+            raise ValueError("'params' and 'uncertainties' must be JSON objects")
+        loss = fileio.as_number(params.get("f_tan_delta0"), "f_tan_delta0")
+        loss_err = fileio.as_number(errors.get("f_tan_delta0", 0.0), "f_tan_delta0 uncertainty")
+        if not (0.0 < loss < math.inf and 0.0 <= loss_err < math.inf):
+            raise ValueError(f"f_tan_delta0 must be finite and > 0 with a finite uncertainty "
+                             f">= 0, got {loss} +/- {loss_err}")
+        return loss, loss_err
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    path, table_name = _device_table(_single_input(args))
-    records, reference = fileio.read_device_table(path)
+    table_name, table_path = table = _device_table(_single_input(args))
+    records, reference = fileio.read_device_table(table_path)
     # per-device TLS fit reports supplying the losses; their errors name the report
-    fit_paths = {
-        key: _existing(spec) for key in _ROLES if (spec := getattr(args, f"{key}_fit"))
-    }
-    losses = {key: _load_fit_loss(fit_path) for key, fit_path in fit_paths.items()}
+    fits = {key: _existing(spec) for key in _ROLES if (spec := getattr(args, f"{key}_fit"))}
+    losses = {key: _load_fit_loss(*fit) for key, fit in fits.items()}
     rows = {}
     with fileio.naming_file(table_name):
         for key, kind in _ROLES.items():
@@ -338,6 +339,11 @@ def _cmd_extract(args: argparse.Namespace) -> int:
                     raise ValueError(f"{kind.value} row {row.label!r}: no loss in the table "
                                      f"and no --{key}-fit report given")
                 losses[key] = (row.loss, row.loss_err or 0.0)
+        ref_values = {key: fileio.as_number(reference[key], f"reference {key}")
+                      for key in ("inductor_loss", "ppc_loss") if key in (reference or {})}
+        for key, ref in ref_values.items():
+            if not (math.isfinite(ref) and ref != 0.0):
+                raise ValueError(f"reference {key} must be finite and nonzero, got {ref}")
         inputs = ExtractionInput(
             *(losses[key][0] for key in _ROLES), rows["ppc"].circuit, rows["idc"].circuit,
             *(losses[key][1] for key in _ROLES),
@@ -360,20 +366,12 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         "single_measurement": inputs.ppc_resonator_loss,
         "single_measurement_err": inputs.ppc_resonator_loss_err,
         "fractional_difference": result.fractional_difference,
-        **_provenance([path] + sorted(fit_paths.values())),
+        **_provenance([table, *sorted(fits.values(), key=lambda fit: fit[1])]),
     }
-    report["input_files"][0]["path"] = table_name
-    ref_values = {}
     if reference:
-        comparison = {"values": reference}
-        for key in ("inductor_loss", "ppc_loss"):
-            if key in reference:
-                ref = fileio.as_number(reference[key], f"reference {key}")
-                if ref == 0.0:
-                    raise ValueError(f"reference {key} must be nonzero")
-                comparison[f"{key}_relative_deviation"] = (getattr(result, key) - ref) / ref
-                ref_values[key] = ref
-        report["reference"] = comparison
+        report["reference"] = {"values": reference, **{
+            f"{key}_relative_deviation": (getattr(result, key) - ref) / ref
+            for key, ref in ref_values.items()}}
 
     fileio.atomic_write_json(Path(args.out) / "extract.json", report)
     print(
@@ -403,7 +401,10 @@ def _cmd_error_map(args: argparse.Namespace) -> int:
         raise GridRangeError(f"grid must be lo:hi:npts, got {spec!r}") from exc
     grid = error_analysis.log_grid(lo, hi, n)
     axis = args.axis
-    curves = [float(c) for c in args.curves.split(",")] if args.curves else None
+    try:
+        curves = [float(c) for c in args.curves.split(",")] if args.curves else None
+    except ValueError:
+        raise ValueError(f"--curves must be comma-separated numbers, got {args.curves!r}") from None
     if axis == AXIS_INDUCTOR_LOSS:
         curves = curves or [1.12e-7, 1.12e-6, 1.12e-5, 1.12e-4, 1.12e-3]
         fixed = args.fixed if args.fixed is not None else 0.102
@@ -537,17 +538,10 @@ _COMMANDS = {
 
 
 def _error_report(exc: Exception, status: int) -> str:
-    report = {
-        "error": type(exc).__name__,
-        "message": str(exc),
-        "exit_status": status,
-    }
-    stage = getattr(exc, "stage", None)
-    if stage:
-        report["stage"] = stage
-    regime = getattr(exc, "missing_regime", None)
-    if regime:
-        report["missing_regime"] = regime
+    report = {"error": type(exc).__name__, "message": str(exc), "exit_status": status}
+    for key in ("stage", "missing_regime"):
+        if getattr(exc, key, None):
+            report[key] = getattr(exc, key)
     return json.dumps(report, sort_keys=True)
 
 

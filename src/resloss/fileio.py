@@ -330,11 +330,11 @@ def read_device_table(path: str | Path) -> tuple[list[DeviceRecord], dict | None
     path = Path(path)
     with naming_file(path):
         if path.suffix.lower() != ".json":
-            _, table = _read_table(path, dtype=str)
-            header = [cell.strip() for cell in table[0]]
+            header, *rows = _read_table(path, dtype=str)[1].tolist()  # plain str cells
+            header = [cell.strip() for cell in header]
             return [
                 _record_from_fields({k: v for k, v in zip(header, row) if v.strip()}, _csv_number)
-                for row in table[1:]
+                for row in rows
             ], None
         doc = json.loads(path.read_text(encoding="utf-8"))
         devices = doc.get("devices") if isinstance(doc, dict) else None

@@ -21,6 +21,7 @@ from resloss.cli import (
     EXIT_RANGE,
     main,
 )
+from resloss import fileio
 from resloss.fileio import write_power_sweep, write_sweep
 from resloss import PowerSweepPoint, generate_power_sweep, generate_s21_sweep
 
@@ -44,6 +45,11 @@ def device_table(tmp_path, *rows):
     path.write_text("label,design,material,f0_GHz,N,g_c_um,C_C_fF,C_L_fF,L_nH,loss,loss_err\n"
                     + "".join(row + "\n" for row in rows))
     return path
+
+
+def table1_doc():
+    """The bundled device table as a JSON document, to edit and write elsewhere."""
+    return json.loads((Path(resloss.__file__).parent / "data" / "table1.json").read_text())
 
 
 def reject_constant(constant):
@@ -283,13 +289,68 @@ class TestExtractCommand:
 
     @pytest.mark.parametrize("key", ["inductor_loss", "ppc_loss"])
     def test_zero_reference_value_exit(self, tmp_path, capsys, key):
-        doc = json.loads((Path(resloss.__file__).parent / "data" / "table1.json").read_text())
+        doc = table1_doc()
         doc["reference"][key] = 0
         table = tmp_path / "table.json"
         table.write_text(json.dumps(doc))
         assert run("extract", "--input", table, "--out", tmp_path / "ext") == EXIT_INPUT
         report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert report["error"] == "ValueError" and key in report["message"]
+        assert report["message"].startswith(f"{table}: ")
+        assert not (tmp_path / "ext").exists()
+
+    @pytest.mark.parametrize("reference, match", [
+        ({"inductor_loss": math.inf}, "reference inductor_loss must be finite and nonzero"),
+        (["inductor_loss", 1.12e-5], "'reference' must be a JSON object"),
+    ], ids=["infinite-value", "not-an-object"])
+    def test_bad_reference_names_table(self, tmp_path, capsys, reference, match):
+        doc = table1_doc()
+        doc["reference"] = reference
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(doc))  # math.inf is written as Infinity
+        assert run("extract", "--input", table, "--out", tmp_path / "ext") == EXIT_INPUT
+        message = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["message"]
+        assert message.startswith(f"{table}: {match}")
+        assert not (tmp_path / "ext").exists()
+
+    def test_bad_reference_refused_before_solve(self, tmp_path):
+        # Devices whose solve gives a negative loss (exit 4) with a zero
+        # reference value: the reference is decoded first and exits 2.
+        doc = table1_doc()
+        doc["devices"][1].update({"C_C_fF": 90, "C_L_fF": 10, "loss": 5e-6})
+        doc["devices"][2]["loss"] = 1e-5
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(doc))
+        assert run("extract", "--input", table, "--out", tmp_path / "ext") == EXIT_EXTRACTION
+        doc["reference"]["ppc_loss"] = 0
+        table.write_text(json.dumps(doc))
+        assert run("extract", "--input", table, "--out", tmp_path / "ext") == EXIT_INPUT
+        assert not (tmp_path / "ext").exists()
+
+    # A fit-tls report on a flat sweep carries f_tan_delta0 0.0.
+    @pytest.mark.parametrize("loss, loss_err", [
+        ("0.0", "1e-6"), ("NaN", "1e-6"), ("9.2e-4", "Infinity"), ("9.2e-4", "-1e-6"),
+    ], ids=["zero", "nan", "infinite-error", "negative-error"])
+    def test_unusable_fit_report_loss_names_report(self, tmp_path, capsys, loss, loss_err):
+        report = tmp_path / "fit_tls.json"
+        report.write_text('{"params": {"f_tan_delta0": %s}, '
+                          '"uncertainties": {"f_tan_delta0": %s}}' % (loss, loss_err))
+        assert run("extract", "--input", "table1", "--ppc-fit", report,
+                   "--out", tmp_path / "ext") == EXIT_INPUT
+        message = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["message"]
+        assert message.startswith(f"{report}: f_tan_delta0 must be finite and > 0")
+        assert not (tmp_path / "ext").exists()
+
+    def test_zero_table_loss_names_table(self, tmp_path, capsys):
+        table = device_table(
+            tmp_path,
+            "A,LE_PPC,x,3.7464,,,727.7,82.2,2.42,0,",
+            "B,LE_IDC,x,6.3798,,,34.7,64.4,1.87,8.9e-6,",
+            "C,CPW,x,4.5548,,,,,,8.42e-6,",
+        )
+        assert run("extract", "--input", table, "--out", tmp_path / "ext") == EXIT_INPUT
+        message = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["message"]
+        assert message == f"{table}: ppc_resonator_loss must be > 0, got 0.0"
         assert not (tmp_path / "ext").exists()
 
     def test_zero_stray_capacitance_exit(self, tmp_path, capsys):
@@ -323,7 +384,7 @@ class TestExtractCommand:
         assert not (tmp_path / "ext").exists()
 
     def test_relabelled_identical_circuits_exit(self, tmp_path, capsys):
-        doc = json.loads((Path(resloss.__file__).parent / "data" / "table1.json").read_text())
+        doc = table1_doc()
         ppc, idc = doc["devices"][:2]
         idc.update({key: ppc[key] for key in ("L_nH", "C_C_fF", "C_L_fF")})
         table = tmp_path / "table.json"
@@ -369,6 +430,13 @@ class TestErrorMapCommand:
         assert run("error-map", "--out", tmp_path, "--grid", "5:1:9") == EXIT_RANGE
         assert run("error-map", "--out", tmp_path, "--grid", "1e-7:1e-1:1") == EXIT_RANGE
 
+    def test_unparsable_grid_exit(self, tmp_path, capsys):
+        out = tmp_path / "map"
+        assert run("error-map", "--out", out, "--grid", "abc") == EXIT_RANGE
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report["message"] == "grid must be lo:hi:npts, got 'abc'"
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", ["1e-7:inf:5", "1e-7:nan:5", "inf:inf:5"])
     def test_non_finite_grid_bound_writes_nothing(self, tmp_path, capsys, grid):
         out = tmp_path / "map"
@@ -396,13 +464,25 @@ class TestMalformedInput:
         return report
 
     def test_fit_s21_bad_baseline(self, tmp_path, capsys):
-        status = run("fit-s21", "--input", tmp_path, "--baseline", "abc",
-                     "--out", tmp_path / "fits")
-        self.assert_input_error(status, capsys)
+        for text in ("abc", "1,2,3"):
+            status = run("fit-s21", "--input", tmp_path, "--baseline", text,
+                         "--out", tmp_path / "fits")
+            message = self.assert_input_error(status, capsys)["message"]
+            assert message == f"--baseline must be re,im, got {text!r}"
 
     def test_error_map_bad_curves(self, tmp_path, capsys):
         status = run("error-map", "--curves", "a,b", "--out", tmp_path)
-        self.assert_input_error(status, capsys)
+        message = self.assert_input_error(status, capsys)["message"]
+        assert message == "--curves must be comma-separated numbers, got 'a,b'"
+
+    def test_fit_s21_directory_without_sweeps(self, tmp_path, capsys):
+        (tmp_path / "in").mkdir()
+        (tmp_path / "in" / "notes.txt").write_text("no sweeps here\n")
+        status = run("fit-s21", "--input", tmp_path / "in", "--out", tmp_path / "fits")
+        assert status == EXIT_INPUT
+        report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert report["message"] == "no sweep files found among the inputs"
+        assert not (tmp_path / "fits").exists()
 
     def test_fit_tls_takes_no_bundled_fixture(self, tmp_path, capsys, monkeypatch):
         # Only extract's device table may name a bundled fixture.
@@ -633,6 +713,23 @@ class TestMalformedInput:
         assert message == f"{config}: missing field {field!r}"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field", ["s21_sgima", "Q_c"])
+    def test_synth_unknown_field_names_file(self, tmp_path, capsys, field):
+        config = tmp_path / "truth.json"
+        config.write_text(json.dumps({**self.TRUTH, field: 1e-3}))
+        status = run("synth", "--input", config, "--out", tmp_path / "out")
+        message = self.assert_input_error(status, capsys)["message"]
+        assert message == f"{config}: unknown truth field {field!r}"
+        assert not (tmp_path / "out").exists()
+
+    def test_synth_truth_not_an_object(self, tmp_path, capsys):
+        config = tmp_path / "truth.json"
+        config.write_text(json.dumps([self.TRUTH]))
+        status = run("synth", "--input", config, "--out", tmp_path / "out")
+        message = self.assert_input_error(status, capsys)["message"]
+        assert message == f"{config}: truth must be a JSON object"
+        assert not (tmp_path / "out").exists()
+
     def test_synth_truth_error_names_file(self, tmp_path, capsys):
         config = tmp_path / "truth.json"
         config.write_text(json.dumps({**self.TRUTH, "n_points": 8}))
@@ -683,7 +780,7 @@ class TestMalformedInput:
         ("C_C_fF", "727.7"),
     ])
     def test_device_table_field_of_wrong_json_type(self, tmp_path, capsys, field, value):
-        doc = json.loads((Path(resloss.__file__).parent / "data" / "table1.json").read_text())
+        doc = table1_doc()
         doc["devices"][0][field] = value
         table = tmp_path / "table.json"
         table.write_text(json.dumps(doc))
@@ -691,13 +788,33 @@ class TestMalformedInput:
         assert field in self.assert_input_error(status, capsys)["message"]
         assert not (tmp_path / "ext").exists()
 
+    def test_csv_device_table_cell_not_a_number(self, tmp_path, capsys):
+        table = device_table(
+            tmp_path,
+            "A,LE_PPC,x,3.7464,,,abc,82.2,2.42,920e-6,",
+            "B,LE_IDC,x,6.3798,,,34.7,64.4,1.87,8.9e-6,",
+            "C,CPW,x,4.5548,,,,,,8.42e-6,",
+        )
+        status = run("extract", "--input", table, "--out", tmp_path / "ext")
+        message = self.assert_input_error(status, capsys)["message"]
+        assert message == f"{table}: device field 'C_C_fF' must be a number, got 'abc'"
+        assert not (tmp_path / "ext").exists()
+
     def test_device_table_entry_not_an_object(self, tmp_path, capsys):
-        doc = json.loads((Path(resloss.__file__).parent / "data" / "table1.json").read_text())
+        doc = table1_doc()
         doc["devices"][0] = ["LE_PPC", 3.7464]
         table = tmp_path / "table.json"
         table.write_text(json.dumps(doc))
         status = run("extract", "--input", table, "--out", tmp_path / "ext")
         self.assert_input_error(status, capsys)
+
+    def test_fit_report_not_json_names_report(self, tmp_path, capsys):
+        report = tmp_path / "fit_tls.json"
+        report.write_text("photon_number,loss\n1,1e-5\n")
+        status = run("extract", "--input", "table1", "--ppc-fit", report,
+                     "--out", tmp_path / "ext")
+        assert self.assert_input_error(status, capsys)["message"].startswith(f"{report}: ")
+        assert not (tmp_path / "ext").exists()
 
     def test_fit_report_value_of_wrong_json_type(self, tmp_path, capsys):
         report = tmp_path / "fit_tls.json"
@@ -722,12 +839,13 @@ class TestMalformedInput:
         assert not (tmp_path / "ext").exists()
 
     def test_reference_value_of_wrong_json_type(self, tmp_path, capsys):
-        doc = json.loads((Path(resloss.__file__).parent / "data" / "table1.json").read_text())
+        doc = table1_doc()
         doc["reference"]["inductor_loss"] = [1.12e-5]
         table = tmp_path / "table.json"
         table.write_text(json.dumps(doc))
         status = run("extract", "--input", table, "--out", tmp_path / "ext")
-        self.assert_input_error(status, capsys)
+        message = self.assert_input_error(status, capsys)["message"]
+        assert message == f"{table}: reference inductor_loss must be a number, got [1.12e-05]"
 
 
 class TestImportGuard:
@@ -871,6 +989,23 @@ class TestProvenance:
         digest = "sha256:" + hashlib.sha256(table.read_bytes()).hexdigest()
         assert report["input_files"] == [{"path": "builtin:table1", "digest": digest}]
         assert str(table.parent) not in (out / "extract.json").read_text()
+
+    def test_fit_s21_digests_each_sweep_once(self, tmp_path, monkeypatch):
+        # One digest per sweep serves both fit_s21.json and power_sweep.csv.
+        paths = []
+        for i, power in enumerate(np.geomspace(1e-17, 1e-14, 4)):
+            paths.append(tmp_path / "in" / f"sweep_{i:03d}.csv")
+            write_sweep(paths[-1], model_sweep(4.5e9, 1e5, 5e4, 0.1, power=power))
+        digested = []
+        sha256_digest = fileio.sha256_digest
+        monkeypatch.setattr(fileio, "sha256_digest",
+                            lambda path: digested.append(Path(path)) or sha256_digest(path))
+        assert run("fit-s21", "--input", tmp_path / "in", "--out", tmp_path / "fits") == EXIT_OK
+        assert digested == paths
+        report = json.loads((tmp_path / "fits" / "fit_s21.json").read_text())
+        meta = (tmp_path / "fits" / "power_sweep.csv").read_text().splitlines()
+        assert [f"# input_digest_{i} = {entry['digest']}"
+                for i, entry in enumerate(report["input_files"])] == meta[3:3 + len(paths)]
 
 
 # SHA-256 of every report of the fit chain on the seed-3 three-device
