@@ -110,7 +110,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     truth_name, truth_path = source
     with fileio.naming_file(truth_name):
         if truth_path is not None:
-            doc = json.loads(truth_path.read_text(encoding="utf-8"))
+            doc = json.loads(fileio.read_text(truth_path))
         else:
             doc = {**_DEFAULT_TRUTH, "powers": [float(p) for p in np.geomspace(1e-18, 1e-13, 21)]}
         if not isinstance(doc, dict):
@@ -303,11 +303,14 @@ def _cmd_fit_tls(args: argparse.Namespace) -> int:
 # the IDC fingers. The order is ExtractionInput's loss-field order.
 _ROLES = {"ppc": DesignKind.LE_PPC, "idc": DesignKind.LE_IDC, "cpw": DesignKind.CPW}
 
+# the reference values that extract.json reports a relative deviation from
+_DEVIATIONS = ("inductor_loss", "ppc_loss")
+
 
 def _load_fit_loss(name: str, path: Path) -> tuple[float, float]:
     """A TLS fit report's f_tan_delta0 and its uncertainty; errors name the report."""
     with fileio.naming_file(name):
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(fileio.read_text(path))
         if not isinstance(doc, dict):
             raise ValueError("a fit report must be a JSON object")
         params, errors = doc.get("params"), doc.get("uncertainties", {})
@@ -339,11 +342,15 @@ def _cmd_extract(args: argparse.Namespace) -> int:
                     raise ValueError(f"{kind.value} row {row.label!r}: no loss in the table "
                                      f"and no --{key}-fit report given")
                 losses[key] = (row.loss, row.loss_err or 0.0)
-        ref_values = {key: fileio.as_number(reference[key], f"reference {key}")
-                      for key in ("inductor_loss", "ppc_loss") if key in (reference or {})}
+        # every reference value but a text one, such as the note, is a finite
+        # number; the ones deviations are taken from are never text, and nonzero
+        ref_values = {key: fileio.as_number(value, f"reference {key}")
+                      for key, value in (reference or {}).items()
+                      if key in _DEVIATIONS or not isinstance(value, str)}
         for key, ref in ref_values.items():
-            if not (math.isfinite(ref) and ref != 0.0):
-                raise ValueError(f"reference {key} must be finite and nonzero, got {ref}")
+            if not math.isfinite(ref) or (ref == 0.0 and key in _DEVIATIONS):
+                raise ValueError(f"reference {key} must be finite"
+                                 f"{' and nonzero' * (key in _DEVIATIONS)}, got {ref}")
         inputs = ExtractionInput(
             *(losses[key][0] for key in _ROLES), rows["ppc"].circuit, rows["idc"].circuit,
             *(losses[key][1] for key in _ROLES),
@@ -371,7 +378,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     if reference:
         report["reference"] = {"values": reference, **{
             f"{key}_relative_deviation": (getattr(result, key) - ref) / ref
-            for key, ref in ref_values.items()}}
+            for key, ref in ref_values.items() if key in _DEVIATIONS}}
 
     fileio.atomic_write_json(Path(args.out) / "extract.json", report)
     print(
@@ -501,9 +508,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-s21", help="fit complex transmission sweeps")
     common(p, "sweep file, or directory of sweep_*.csv (repeatable)")
     p.add_argument("--delay", type=float, default=None,
-                   help="cable delay in seconds (default: estimated)")
+                   help="cable delay in seconds (default: estimated); "
+                        "a negative one as --delay=-1e-9")
     p.add_argument("--baseline", default=None,
-                   help="complex baseline as re,im (default: estimated)")
+                   help="complex baseline as re,im (default: estimated); "
+                        "a negative real part as --baseline=-0.8,0.3")
 
     p = sub.add_parser("fit-tls", help="fit the saturable loss curve to a power sweep")
     common(p, "power-sweep file")

@@ -9,7 +9,12 @@ Conventions shared by every writer:
     header row and comma-separated cells; ``write_table`` writes every
     such file, formatting a fixed block of rows at a time so its memory
     does not grow with the table's length, and ``_read_table`` parses
-    every one;
+    every one. A block's cells are formatted in numpy (``_Cells``):
+    correctly rounded digits from a double-double product, laid out per
+    sign, exponent and trailing-zero count; a cell that this cannot
+    decide is formatted on its own by ``fmt``. Either way the bytes are
+    those of ``%.17g`` per cell;
+  * text inputs are UTF-8 and may start with a byte-order mark;
   * files are written to a temporary name and atomically renamed, so a
     failure never leaves a truncated output;
   * no timestamps are embedded, so identical inputs give identical bytes.
@@ -21,6 +26,7 @@ loads none of them.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -28,6 +34,7 @@ import os
 import re
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .circuit import DesignKind, DeviceCircuitModel, DeviceRecord
@@ -44,8 +51,9 @@ FEMTO = 1e-15
 NANO = 1e-9
 
 # cells per formatted block of ``write_table``: large enough that the
-# per-block cost vanishes, small enough that a block's text stays near 1 MB
-_BLOCK_CELLS = 65536
+# per-block cost vanishes, small enough that a block's work arrays stay
+# near 4 MB
+_BLOCK_CELLS = 8192
 
 
 def fmt(value: float) -> str:
@@ -110,6 +118,11 @@ def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
         raise
 
 
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 input file; a leading byte-order mark is dropped."""
+    return Path(path).read_text(encoding="utf-8-sig")
+
+
 def atomic_write_json(path: str | Path, obj) -> None:
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
@@ -143,7 +156,7 @@ def _read_table(path: str | Path, dtype=float) -> tuple[dict[str, str], np.ndarr
 
     meta: dict[str, str] = {}
     lines: list[str] = []
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     for raw in text.splitlines():
         line = raw.strip()
         if line.startswith("#"):
@@ -184,21 +197,175 @@ def _read_table(path: str | Path, dtype=float) -> tuple[dict[str, str], np.ndarr
 def write_table(path: str | Path, meta: dict, header: Sequence[str], cells: np.ndarray) -> None:
     """Write ``# key = value`` lines, a header row and the 2-D float array ``cells``.
 
-    Each block of about ``_BLOCK_CELLS`` cells is formatted by one ``%``
-    operation with ``%.17g`` per cell, which gives the bytes of ``fmt``;
+    The header names each column. Each block of about ``_BLOCK_CELLS``
+    cells is formatted by ``_Cells`` into the bytes of ``fmt`` per cell;
     the blocks stream to the file, so memory stays bounded by one block.
     """
+    import numpy as np
+
+    cells = np.asarray(cells, dtype=np.float64)
+    with naming_file(path):
+        if cells.ndim != 2 or cells.shape[1] == 0:
+            raise ValueError(f"a table needs rows of at least one cell, got shape {cells.shape}")
+        if len(header) != cells.shape[1]:
+            raise ValueError(f"{len(header)} header names for {cells.shape[1]} columns")
     head = "".join(f"# {key} = {value}\n" for key, value in meta.items()) + ",".join(header)
-    row_template = ",".join(["%.17g"] * cells.shape[1]) + "\n"
     step = max(1, _BLOCK_CELLS // cells.shape[1])
 
     def chunks():
         yield head + "\n"
+        text = _Cells(min(step, len(cells)), cells.shape[1])
         for start in range(0, len(cells), step):
-            block = cells[start:start + step]
-            yield (row_template * len(block)) % tuple(block.ravel().tolist())
+            yield text(cells[start:start + step])
 
     atomic_write_text(path, chunks())
+
+
+# decimal exponents from the smallest subnormal, 5e-324, to the largest double
+_E_MIN = -324
+_EXPONENTS = 633
+# the widest cell, "-4.9406564584124654e-324", and its separator
+_WIDTH = 25
+# a cell's source row: "000", its 17 digits, then the alphabet of its
+# layouts, whose first byte is the padding that is dropped
+_ALPHABET = "\0-.e+0123456789,\n"
+_ROW = 40
+
+
+@functools.cache
+def _format_tables() -> SimpleNamespace:
+    """Tables shared by every ``_Cells``; powers and layouts fill in on demand."""
+    import numpy as np
+
+    pairs = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint8)
+    ascii4 = np.empty((100, 100, 4), np.uint8)  # "0000" to "9999", two pairs each
+    ascii4[:, :, :2] = pairs.reshape(100, 1, 2)
+    ascii4[:, :, 2:] = pairs.reshape(1, 100, 2)
+    return SimpleNamespace(
+        ascii4=ascii4.view(np.uint32).ravel(),
+        powers=np.full((5, _EXPONENTS), np.nan),
+        layouts=np.zeros((4 * 17 * _EXPONENTS, _WIDTH), np.uint8),  # a zero row: not built
+        source=np.frombuffer(bytes(20) + _ALPHABET.encode() + bytes(3), np.uint8),
+    )
+
+
+def _power_of_ten(e: int) -> tuple[float, ...]:
+    """The scale 2**q and 10**(16 - e) / 2**q as hi + lo, with hi split into 26 and 27 bits.
+
+    hi is the nearest double and lo the nearest to the remainder. q is 600
+    below e = -250 and -600 above e = 250, which keeps the scaled cell, hi
+    and lo normal doubles.
+    """
+    q = 600 if e < -250 else -600 if e > 250 else 0
+    num = 10 ** max(16 - e, 0) * 2 ** max(-q, 0)
+    den = 10 ** max(e - 16, 0) * 2 ** max(q, 0)
+    hi = num / den
+    n, d = hi.as_integer_ratio()
+    lo = (num * d - n * den) / (den * d)
+    mantissa, exponent = math.frexp(hi)
+    h1 = math.ldexp(math.floor(mantissa * 2 ** 26), exponent - 26)
+    return math.ldexp(1.0, q), hi, h1, hi - h1, lo
+
+
+def _layout(code: int) -> list[int]:
+    """The source-row columns of a cell's text, for a layout code of ``_Cells``."""
+    kind, rest = divmod(code, 17 * _EXPONENTS)
+    zeros, e = divmod(rest, _EXPONENTS)
+    e += _E_MIN
+    digits = list(range(17 - zeros))  # trailing zeros dropped
+    if e < -4 or e > 16:
+        text = digits[:1] + (["."] + digits[1:] if zeros < 16 else []) + list(f"e{e:+03d}")
+    elif e < 0:
+        text = ["0", "."] + ["0"] * (-e - 1) + digits
+    else:
+        text = list(range(e + 1)) + (["."] + digits[e + 1:] if len(digits) > e + 1 else [])
+    text = ["-"] * (kind & 1) + text + [",\n"[kind >> 1]]
+    columns = [3 + c if isinstance(c, int) else 20 + _ALPHABET.index(c) for c in text]
+    return columns + [20] * (_WIDTH - len(columns))
+
+
+class _Cells:
+    """The ``%.17g`` text of a table's blocks of cells, formatted in numpy.
+
+    A cell v with decimal exponent e = floor(log10|v|) has the 17 digits
+    n = round(|v| * 10**(16 - e)). The product is a double-double:
+    Dekker's exact product of |v| and hi, the double nearest 10**(16 - e),
+    plus |v| times lo, hi's remainder (both scaled by 2**q at extreme e).
+    Its error is below 1e-14, so a fraction not within 1e-6 of one half
+    rounds as the exact product does; an exact product outside [1e16,
+    1e17) means that log10 put e one off, next to a power of ten. Such
+    cells, zeros and non-finite values take ``fmt``, each on its own.
+
+    The digits become ASCII through a table of 4-digit groups. A cell's
+    text is gathered from its source row by the layout of its separator,
+    sign, e and trailing-zero count, ``_WIDTH`` bytes padded with NUL,
+    and the padding is dropped.
+    """
+
+    def __init__(self, rows: int, columns: int):
+        import numpy as np
+
+        self.tables = _format_tables()
+        size = rows * columns
+        self.source = np.empty((size, _ROW), np.uint8)
+        self.source[:] = self.tables.source
+        self.offsets = np.arange(0, size * _ROW, _ROW)[:, None]
+        self.index = np.empty((size, _WIDTH), np.intp)
+        self.kind = np.zeros(columns, np.intp)  # 2 for a cell that ends its row, 1 if negative
+        self.kind[-1] = 2
+
+    def __call__(self, block: np.ndarray) -> str:
+        import numpy as np
+
+        t = self.tables
+        v = block.ravel()
+        size = v.size
+        a = abs(v)
+        s = np.fmax(np.fmin(a, 1.7976931348623157e308), 5e-324)  # a NaN becomes the max
+        ok = s == a
+        e_index = (np.log10(s) - _E_MIN).astype(np.intp)  # e - _E_MIN
+        scale, hi, h1, h2, lo = t.powers.take(e_index, axis=1)
+        missing = np.isnan(hi)
+        if missing.any():
+            for i in set(e_index[missing].tolist()):
+                t.powers[:, i] = _power_of_ten(i + _E_MIN)
+            scale, hi, h1, h2, lo = t.powers.take(e_index, axis=1)
+        s *= scale
+        c = s * 134217729.0  # Veltkamp's split of s into 26-bit halves
+        s1 = c - (c - s)
+        s2 = s - s1
+        p = s * hi
+        err = s1 * h1 - p + s1 * h2 + s2 * h1 + s2 * h2 + s * lo  # s * (hi + lo) - p
+        r = np.rint(err)
+        ok &= abs(err - r) < 0.499999
+        n = p.astype(np.int64) + r.astype(np.int64)
+        ok &= (n - (err < r) >= 10 ** 16) & (n < 10 ** 17)  # the exact product's floor and n
+
+        groups = np.empty((size, 5), np.int64)  # the first digit, then four 4-digit groups
+        halves = np.empty((size, 2), np.int64)
+        top, _ = np.divmod(n, 10 ** 8, out=(None, halves[:, 1]))
+        np.divmod(top, 10 ** 8, out=(groups[:, 0], halves[:, 0]))
+        np.divmod(halves, 10 ** 4, out=(groups[:, 1::2], groups[:, 2::2]))
+        source = self.source[:size]
+        source.view(np.uint32)[:, :5] = t.ascii4.take(groups)
+        zeros = (source[:, 19:2:-1] != ord("0")).argmax(axis=1)
+
+        kind = (v < 0).reshape(block.shape) + self.kind
+        code = (kind.ravel() * 17 + zeros) * _EXPONENTS + e_index
+        layout = t.layouts.take(code, axis=0)
+        if not layout[:, 0].all():
+            for i in set(code[layout[:, 0] == 0].tolist()):
+                t.layouts[i] = _layout(i)
+            layout = t.layouts.take(code, axis=0)
+        index = np.add(layout, self.offsets[:size], out=self.index[:size])
+        text = source.take(index)
+        if not ok.all():
+            own = (~ok).nonzero()[0]
+            cells = "".join(fmt(x).ljust(_WIDTH - 1, "\0") for x in v[own].tolist())
+            text[own, :-1] = np.frombuffer(cells.encode(), np.uint8).reshape(-1, _WIDTH - 1)
+            text[own, -1] = np.where(own % block.shape[1] == block.shape[1] - 1,
+                                     ord("\n"), ord(","))
+        return text[text != 0].tobytes().decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +503,7 @@ def read_device_table(path: str | Path) -> tuple[list[DeviceRecord], dict | None
                 _record_from_fields({k: v for k, v in zip(header, row) if v.strip()}, _csv_number)
                 for row in rows
             ], None
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(read_text(path))
         devices = doc.get("devices") if isinstance(doc, dict) else None
         reference = doc.get("reference") if isinstance(doc, dict) else None
         if not (isinstance(devices, list) and all(isinstance(d, dict) for d in devices)):

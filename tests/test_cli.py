@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -196,6 +197,26 @@ class TestPipeline:
         assert run("fit-s21", "--input", synth_dir, "--out", out) == EXIT_INPUT
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("options", [
+        ["--baseline=-0.8,0.3"], ["--delay=-1e-9"], ["--baseline=-0.8,0.3", "--delay=-1e-9"],
+    ], ids=["baseline", "delay", "both"])
+    def test_fit_s21_takes_negative_calibration_joined_by_equals(self, tmp_path, options):
+        truth = tmp_path / "truth.json"
+        truth.write_text(json.dumps({
+            "f0": 4.5e9, "q_c": 2e4, "f_tan_delta0": 1e-5, "n_c": 5.0, "q_hp": 1e6,
+            "temperature": 0.1, "span": 3e6, "n_points": 201, "powers": [1e-16, 1e-14],
+            "delay": -1e-9, "baseline": [-0.8, 0.3],
+        }))
+        assert run("synth", "--input", truth, "--out", tmp_path / "fix") == EXIT_OK
+        assert main(["fit-s21", "--input", str(tmp_path / "fix"), *options,
+                     "--out", str(tmp_path / "fits")]) == EXIT_OK
+        results = json.loads((tmp_path / "fits" / "fit_s21.json").read_text())["results"]
+        for result in results:
+            if "--baseline=-0.8,0.3" in options:
+                assert result["baseline"] == [-0.8, 0.3]
+            if "--delay=-1e-9" in options:
+                assert result["delay_s"] == -1e-9
+
 
 class TestExtractCommand:
     def test_bundled_fixture(self, tmp_path):
@@ -325,6 +346,25 @@ class TestExtractCommand:
         doc["reference"]["ppc_loss"] = 0
         table.write_text(json.dumps(doc))
         assert run("extract", "--input", table, "--out", tmp_path / "ext") == EXIT_INPUT
+        assert not (tmp_path / "ext").exists()
+
+    @pytest.mark.parametrize("value, match", [
+        (math.inf, "must be finite, got inf"),
+        (math.nan, "must be finite, got nan"),
+        (True, "must be a number, got True"),
+        ([0.11], r"must be a number, got \[0.11\]"),
+    ], ids=["Infinity", "NaN", "true", "list"])
+    def test_every_reference_value_is_a_finite_number(self, tmp_path, capsys, value, match):
+        # fractional_difference is only echoed into extract.json; it is decoded
+        # with the other values, before the solve, and names the table
+        doc = table1_doc()
+        doc["reference"]["fractional_difference"] = value
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(doc))
+        assert run("extract", "--input", table, "--out", tmp_path / "ext") == EXIT_INPUT
+        message = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["message"]
+        assert message.startswith(f"{table}: reference fractional_difference ")
+        assert re.search(match, message)
         assert not (tmp_path / "ext").exists()
 
     # A fit-tls report on a flat sweep carries f_tan_delta0 0.0.
@@ -848,6 +888,62 @@ class TestMalformedInput:
         assert message == f"{table}: reference inductor_loss must be a number, got [1.12e-05]"
 
 
+class TestByteOrderMark:
+    """Every text input may start with a UTF-8 byte-order mark, and it changes no output."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("plain")
+        truth = {"f0": 4.5e9, "q_c": 2e4, "f_tan_delta0": 1e-5, "n_c": 5.0, "q_hp": 1e6,
+                 "temperature": 0.1, "span": 3e6, "n_points": 64, "powers": [1e-16, 1e-15]}
+        (base / "truth.json").write_text(json.dumps(truth))
+        write_sweep(base / "sweep.csv", model_sweep(4.5e9, 1e5, 5e4, 0.1))
+        truths = three_device_truths()
+        write_power_sweep(base / "power.csv", generate_power_sweep(truths["ppc"]),
+                          truths["ppc"].f0, truths["ppc"].temperature)
+        (base / "table.json").write_text(json.dumps(table1_doc()))
+        # the mark would otherwise join the first header name, a required field
+        (base / "devices.csv").write_text("design,f0_GHz,C_C_fF,C_L_fF,L_nH,loss,loss_err\n"
+                                          "LE_PPC,3.7464,727.7,82.2,2.42,9.2e-4,7e-6\n"
+                                          "LE_IDC,6.3798,34.7,64.4,1.87,8.9e-6,1e-7\n"
+                                          "CPW,4.5548,,,,8.42e-6,6e-8\n")
+        (base / "fit_tls.json").write_text(json.dumps(
+            {"params": {"f_tan_delta0": 9.3e-4}, "uncertainties": {"f_tan_delta0": 8e-6}}))
+        return base
+
+    @staticmethod
+    def outputs(out, name):
+        """Each output with the input's name and its digest lines left out."""
+        result = {}
+        for path in sorted(out.iterdir()):
+            text = path.read_text().replace(name, "<input>")
+            if path.suffix == ".json":
+                result[path.name] = {k: v for k, v in json.loads(text).items()
+                                     if k != "input_files"}
+            else:
+                result[path.name] = [line for line in text.splitlines()
+                                     if not line.startswith("# input_digest")]
+        return result
+
+    @pytest.mark.parametrize("name, argv", [
+        ("truth.json", ["synth", "--input"]),
+        ("sweep.csv", ["fit-s21", "--input"]),
+        ("power.csv", ["fit-tls", "--input"]),
+        ("table.json", ["extract", "--input"]),
+        ("devices.csv", ["extract", "--input"]),
+        ("fit_tls.json", ["extract", "--input", "table1", "--ppc-fit"]),
+    ])
+    def test_same_outputs_as_without(self, inputs, tmp_path, name, argv):
+        marked = tmp_path / "marked" / name
+        marked.parent.mkdir()
+        marked.write_bytes(b"\xef\xbb\xbf" + (inputs / name).read_bytes())
+        plain = inputs / name
+        for path, out in ((plain, "out_plain"), (marked, "out_marked")):
+            assert run(*argv, path, "--out", tmp_path / out) == EXIT_OK
+        assert (self.outputs(tmp_path / "out_marked", str(marked))
+                == self.outputs(tmp_path / "out_plain", str(plain)))
+
+
 class TestImportGuard:
     def test_no_command_imports_scipy(self, tmp_path):
         # Every subcommand in one fresh interpreter; scipy is a test-only
@@ -919,6 +1015,16 @@ class TestImportGuard:
         loaded = [m for m in result["modules"]
                   if any(m == name or m.startswith(name + ".") for name in absent + ["scipy"])]
         assert loaded == []
+
+    def test_fileio_loads_no_numpy(self):
+        # numpy and the formatter's tables load on the first table read or write
+        script = """
+            import json, sys
+            import resloss.fileio
+
+            print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "numpy")))
+        """
+        assert run_fresh(script) == []
 
     def test_package_names_resolve_lazily(self):
         import importlib

@@ -1,6 +1,8 @@
 import json
 import math
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -226,6 +228,40 @@ class TestDeviceTables:
             read_device_table(path)
 
 
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark, as Excel's "CSV UTF-8" writes, changes no result."""
+
+    @staticmethod
+    def marked(path):
+        copy = path.with_name("bom_" + path.name)
+        copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        return copy
+
+    def test_sweep(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        write_sweep(path, generate_s21_sweep(device_a_truth(seed=3), 4))
+        plain, marked = read_sweep(path), read_sweep(self.marked(path))
+        assert np.array_equal(marked.frequencies, plain.frequencies)
+        assert np.array_equal(marked.s21, plain.s21)
+        assert (marked.power, marked.temperature) == (plain.power, plain.temperature)
+
+    def test_power_sweep(self, tmp_path):
+        path = tmp_path / "power.csv"
+        write_power_sweep(path, [PowerSweepPoint(0.5, 1e-5, 2e-7), PowerSweepPoint(12.0, 7.5e-6)],
+                          f0=4.5e9, temperature=0.1)
+        assert read_power_sweep(self.marked(path)) == read_power_sweep(path)
+
+    def test_device_tables(self, tmp_path):
+        from importlib import resources
+
+        table = tmp_path / "table1.json"
+        table.write_bytes(resources.files("resloss").joinpath("data", "table1.json").read_bytes())
+        csv = tmp_path / "devices.csv"
+        csv.write_text("label,design,f0_GHz,loss\nA,LE_PPC,3.7464,9.2e-4\nC,CPW,4.5548,8.42e-6\n")
+        for path in (table, csv):
+            assert read_device_table(self.marked(path)) == read_device_table(path)
+
+
 class TestGoldenBytes:
     """Exact bytes of each table writer on fixed inputs."""
 
@@ -297,8 +333,21 @@ class TestTableWriter:
             "# k = v\n# n = 0.10000000000000001\n" + ",".join(header) + "\n" + expected
         ).encode()
 
+    @pytest.mark.parametrize("header, cells, match", [
+        ([], np.zeros((3, 0)), r"rows of at least one cell, got shape \(3, 0\)"),
+        (["a", "b", "c"], np.zeros(3), r"rows of at least one cell, got shape \(3,\)"),
+        (["a"], np.zeros((3, 2)), "1 header names for 2 columns"),
+        (["a", "b", "c"], np.zeros((3, 2)), "3 header names for 2 columns"),
+    ], ids=["no-columns", "one-dimensional", "short-header", "long-header"])
+    def test_refuses_a_table_it_would_write_wrongly(self, tmp_path, header, cells, match):
+        path = tmp_path / "table.csv"
+        with pytest.raises(ValueError, match=match) as info:
+            write_table(path, {}, header, cells)
+        assert str(info.value).startswith(f"{path}: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_memory_does_not_grow_with_rows(self, tmp_path):
-        # the 20001 x 51 table is about 21 MB of text; one block is about 1 MB
+        # the 20001 x 51 table is about 21 MB of text; one block's work arrays are about 4 MB
         cells = np.random.default_rng(0).standard_normal((20001, 51))
         header = [f"c{j}" for j in range(51)]
         tracemalloc.start()
@@ -318,6 +367,82 @@ class TestTableWriter:
         with pytest.raises(RuntimeError, match="chunk failed"):
             atomic_write_text(tmp_path / "table.csv", chunks())
         assert list(tmp_path.iterdir()) == []
+
+
+class TestCellFormat:
+    """``write_table`` writes the bytes of ``%.17g`` per cell, on the cases that are
+    hard for its numpy formatter and on the cases it passes to ``fmt``."""
+
+    @staticmethod
+    def assert_bytes_equal_percent(tmp_path, cells):
+        cells = np.asarray(cells, dtype=float).reshape(len(cells), -1)
+        path = tmp_path / "table.csv"
+        header = [f"c{j}" for j in range(cells.shape[1])]
+        write_table(path, {}, header, cells)
+        row = ",".join(["%.17g"] * cells.shape[1]) + "\n"
+        expected = ",".join(header) + "\n" + (row * len(cells)) % tuple(cells.ravel().tolist())
+        text = path.read_text()
+        if text != expected:
+            got, want = text.splitlines(), expected.splitlines()
+            i = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
+                     min(len(got), len(want)))
+            pytest.fail(f"line {i + 1}: {got[i:i + 1]} != {want[i:i + 1]}")
+
+    def test_random_bit_patterns(self, tmp_path):
+        bits = np.random.default_rng(29).integers(0, 2**64, 10**6, dtype=np.uint64)
+        self.assert_bytes_equal_percent(tmp_path, bits.view(np.float64).reshape(-1, 4))
+
+    def test_zeros_subnormals_and_non_finite(self, tmp_path):
+        tiny = np.random.default_rng(1).integers(1, 2**52, 1000, dtype=np.uint64).view(np.float64)
+        specials = [0.0, 5e-324, 1e-323, 2.225073858507201e-308, 2.2250738585072014e-308,
+                    1.7976931348623157e308, math.inf, math.nan, *tiny]
+        bits = np.array([0x7ff8000000000001, 0xfff8000000000000], np.uint64).view(np.float64)
+        self.assert_bytes_equal_percent(tmp_path, [*specials, *np.negative(specials), *bits])
+
+    def test_powers_of_ten_and_their_neighbours(self, tmp_path):
+        powers = np.array([float(f"1e{k}") for k in range(-300, 300)])
+        below = np.nextafter(powers, 0.0)
+        near = [powers, below, np.nextafter(below, 0.0), np.nextafter(powers, math.inf)]
+        self.assert_bytes_equal_percent(tmp_path, np.concatenate(near + [-x for x in near]))
+
+    def test_integers_where_the_spacing_grows(self, tmp_path):
+        around = np.concatenate([np.arange(c - 1000, c + 1000) for c in (2**53, 10**16, 10**17)])
+        drawn = np.random.default_rng(2).integers(10**16, 10**17, 100000)
+        self.assert_bytes_equal_percent(tmp_path, np.concatenate([around, drawn]).astype(float))
+
+    def test_exact_ties_round_half_even(self, tmp_path):
+        # x = M * 2**-k with M odd is N * 10**-k for N = M * 5**k, which ends in 5;
+        # an 18-digit N makes x a tie between two 17-digit decimals
+        rng = np.random.default_rng(3)
+        ties = []
+        for k in range(2, 26):
+            lo, hi = -(-10**17 // 5**k), min(10**18 // 5**k, 2**53)
+            odd = rng.integers(lo // 2, (hi - 1) // 2, 1000) * 2 + 1
+            ties.extend(math.ldexp(m, -k) for m in odd.tolist())
+        digits = [Decimal(x).as_tuple().digits for x in ties]
+        assert all(len(d) == 18 and d[-1] == 5 for d in digits)
+        self.assert_bytes_equal_percent(tmp_path, ties + [-x for x in ties])
+
+    def test_near_ties_that_are_not_ties(self, tmp_path):
+        # each within 1e-14 of a tie in units of its 17th digit, so the
+        # double-double's error may take its rounding either way; found by
+        # solving m * 5**k = 2**(L-1) + d (mod 2**L) for small d
+        near = [4.995432289793736e-08, 4.9102966142601843e-08, 3.718397156790462e-09,
+                2.460469286850939e-10, 3.009074362053087e-11, 3.587840478676006e-12,
+                4.5245652880106535e-13, 5.264670116847178e-14, 4.5496061025676795e-14,
+                1.2513620249891226e-14, 2.1854200494989024e-15]
+        for x in near:
+            scaled = Fraction(x) * 10 ** (16 - math.floor(math.log10(x)))
+            assert 0 < abs(scaled - math.floor(scaled) - Fraction(1, 2)) < 1e-14
+        self.assert_bytes_equal_percent(tmp_path, near + [-x for x in near])
+
+    @pytest.mark.parametrize("columns", [1, 3, 51])
+    def test_tables_across_a_block_edge(self, tmp_path, columns):
+        rng = np.random.default_rng(columns)
+        n_rows = 2 * (_BLOCK_CELLS // columns) + 1
+        cells = rng.standard_normal((n_rows, columns)) * 10.0 ** rng.integers(-12, 12, (n_rows, 1))
+        cells[::97, 0] = 0.0
+        self.assert_bytes_equal_percent(tmp_path, cells)
 
 
 class TestAtomicWrites:
