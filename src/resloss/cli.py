@@ -11,7 +11,8 @@ its SHA-256 digest. No output embeds a timestamp, so reruns give the same
 bytes. All inputs are validated before any write, and writes are atomic.
 
 Each command imports the stages it runs, and numpy with them; ``extract``
-on a JSON device table loads no numpy.
+on a JSON device table and ``error-map`` on a map of at most
+``fileio._BLOCK_CELLS`` cells load no numpy.
 """
 
 from __future__ import annotations
@@ -396,8 +397,6 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_error_map(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from . import error_analysis
 
     spec = args.grid or "1e-7:1e-1:61"
@@ -407,7 +406,7 @@ def _cmd_error_map(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise GridRangeError(f"grid must be lo:hi:npts, got {spec!r}") from exc
     grid = error_analysis.log_grid(lo, hi, n)
-    axis = args.axis
+    axis, threshold = args.axis, args.threshold
     try:
         curves = [float(c) for c in args.curves.split(",")] if args.curves else None
     except ValueError:
@@ -418,33 +417,38 @@ def _cmd_error_map(args: argparse.Namespace) -> int:
     else:
         curves = curves or [0.001, 0.01, 0.102, 0.3]
         fixed = args.fixed if args.fixed is not None else 1.12e-5
-    emap = error_analysis.error_map(
-        axis, grid, curves, fixed, threshold=args.threshold
-    )
+    header = ["capacitor_loss"] + [f"{axis}_{fileio.fmt(c)}" for c in curves]
 
-    boundaries = []
-    mask = emap.measurable_mask
-    for j, (curve, asymptote) in enumerate(zip(emap.curves, emap.asymptotes())):
-        inside = mask[:, j]
-        boundaries.append({
-            "curve": curve,
-            "asymptote": asymptote,
-            "measurable_fraction": float(np.mean(inside)),
-            "measurable_min_capacitor_loss": (
-                float(emap.capacitor_loss_grid[inside].min()) if inside.any() else None
-            ),
-            "measurable_max_capacitor_loss": (
-                float(emap.capacitor_loss_grid[inside].max()) if inside.any() else None
-            ),
-        })
+    # A map of one formatter block is tabulated in floats, without numpy, and a
+    # larger one in numpy; per curve, the count and range of measurable points.
+    if len(grid) * len(header) <= fileio._BLOCK_CELLS:
+        cells = error_analysis.error_rows(axis, grid, curves, fixed, threshold)
+        points = [[row[0] for row in cells if abs(row[j]) <= threshold]
+                  for j in range(1, len(header))]
+        measurable = [(len(p), min(p, default=None), max(p, default=None)) for p in points]
+    else:
+        import numpy as np
+
+        emap = error_analysis.error_map(axis, grid, curves, fixed, threshold=threshold)
+        cells = np.column_stack([emap.capacitor_loss_grid, emap.signed])
+        points = [emap.capacitor_loss_grid[inside] for inside in emap.measurable_mask.T]
+        measurable = [(p.size, float(p.min()), float(p.max())) if p.size else (0, None, None)
+                      for p in points]
     summary = {
         "command": "error-map",
         "tool_version": __version__,
         "axis": axis,
-        "fixed_value": emap.fixed_value,
-        "threshold": emap.threshold,
-        "grid": {"lo": float(grid[0]), "hi": float(grid[-1]), "n": int(grid.size)},
-        "curves": boundaries,
+        "fixed_value": fixed,
+        "threshold": threshold,
+        "grid": {"lo": grid[0], "hi": grid[-1], "n": len(grid)},
+        "curves": [{
+            "curve": curve,
+            "asymptote": error_analysis.participation_asymptote(
+                curve if axis == AXIS_PARTICIPATION else fixed),
+            "measurable_fraction": count / len(grid),
+            "measurable_min_capacitor_loss": least,
+            "measurable_max_capacitor_loss": greatest,
+        } for curve, (count, least, greatest) in zip(curves, measurable)],
     }
 
     # Everything is computed before either file is written, and the summary's
@@ -453,11 +457,10 @@ def _cmd_error_map(args: argparse.Namespace) -> int:
     fileio.atomic_write_json(out / "error_map_summary.json", summary)
     fileio.write_table(
         out / "error_map.csv",
-        {"tool_version": __version__, "axis": axis, "fixed_value": fileio.fmt(emap.fixed_value)},
-        ["capacitor_loss"] + [f"{axis}_{fileio.fmt(c)}" for c in emap.curves],
-        np.column_stack([emap.capacitor_loss_grid, emap.signed]),
+        {"tool_version": __version__, "axis": axis, "fixed_value": fileio.fmt(fixed)},
+        header, cells,
     )
-    print(f"error-map: wrote {grid.size}x{len(emap.curves)} map to {out}")
+    print(f"error-map: wrote {len(grid)}x{len(curves)} map to {out}")
     return EXIT_OK
 
 

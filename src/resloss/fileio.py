@@ -9,7 +9,8 @@ Conventions shared by every writer:
     header row and comma-separated cells; ``write_table`` writes every
     such file, formatting a fixed block of rows at a time so its memory
     does not grow with the table's length, and ``_read_table`` parses
-    every one. A block's cells are formatted in numpy (``_Cells``):
+    every one. A table given as a list of float rows is formatted by
+    ``fmt``; an array's blocks are formatted in numpy (``_Cells``):
     correctly rounded digits from a double-double product, laid out per
     sign, exponent and trailing-zero count; a cell that this cannot
     decide is formatted on its own by ``fmt``. Either way the bytes are
@@ -20,8 +21,8 @@ Conventions shared by every writer:
   * no timestamps are embedded, so identical inputs give identical bytes.
 
 numpy, ``ComplexSweep`` and ``PowerSweepPoint`` load inside the table and
-sweep functions, so reading a JSON device table or writing a JSON report
-loads none of them.
+sweep functions, so reading a JSON device table, writing a JSON report or
+writing a table of float rows loads none of them.
 """
 
 from __future__ import annotations
@@ -194,27 +195,36 @@ def _read_table(path: str | Path, dtype=float) -> tuple[dict[str, str], np.ndarr
     return meta, cells
 
 
-def write_table(path: str | Path, meta: dict, header: Sequence[str], cells: np.ndarray) -> None:
-    """Write ``# key = value`` lines, a header row and the 2-D float array ``cells``.
+def write_table(path: str | Path, meta: dict, header: Sequence[str], cells) -> None:
+    """Write ``# key = value`` lines, a header row and the float table ``cells``.
 
-    The header names each column. Each block of about ``_BLOCK_CELLS``
-    cells is formatted by ``_Cells`` into the bytes of ``fmt`` per cell;
-    the blocks stream to the file, so memory stays bounded by one block.
+    The header names each column. ``cells`` is a list of float rows,
+    formatted by ``fmt`` without numpy, or a 2-D array, formatted by
+    ``_Cells`` into the same bytes a block of about ``_BLOCK_CELLS`` cells
+    at a time; the blocks stream to the file, so memory stays bounded by
+    one block. A table with no rows is refused.
     """
-    import numpy as np
+    if isinstance(cells, list):
+        shape = (len(cells), *sorted({len(row) for row in cells}))
+    else:
+        import numpy as np
 
-    cells = np.asarray(cells, dtype=np.float64)
+        cells = np.asarray(cells, dtype=np.float64)
+        shape = cells.shape
     with naming_file(path):
-        if cells.ndim != 2 or cells.shape[1] == 0:
-            raise ValueError(f"a table needs rows of at least one cell, got shape {cells.shape}")
-        if len(header) != cells.shape[1]:
-            raise ValueError(f"{len(header)} header names for {cells.shape[1]} columns")
+        if len(shape) != 2 or 0 in shape:
+            raise ValueError(f"a table needs rows of at least one cell, got shape {shape}")
+        if len(header) != shape[1]:
+            raise ValueError(f"{len(header)} header names for {shape[1]} columns")
     head = "".join(f"# {key} = {value}\n" for key, value in meta.items()) + ",".join(header)
-    step = max(1, _BLOCK_CELLS // cells.shape[1])
+    step = max(1, _BLOCK_CELLS // shape[1])
 
     def chunks():
         yield head + "\n"
-        text = _Cells(min(step, len(cells)), cells.shape[1])
+        if isinstance(cells, list):
+            yield from (",".join(map(fmt, row)) + "\n" for row in cells)
+            return
+        text = _Cells(min(step, len(cells)), shape[1])
         for start in range(0, len(cells), step):
             yield text(cells[start:start + step])
 

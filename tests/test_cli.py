@@ -492,6 +492,58 @@ class TestErrorMapCommand:
             assert run("error-map", "--out", out, "--grid", "1e-7:1e-1:21") == EXIT_OK
         assert (a / "error_map.csv").read_bytes() == (b / "error_map.csv").read_bytes()
 
+    @staticmethod
+    def recorded_error_maps(monkeypatch):
+        """The maps that error_analysis.error_map, the numpy path, returns from now on."""
+        from resloss import error_analysis
+
+        maps = []
+        original = error_analysis.error_map
+
+        def recording(*args, **kwargs):
+            maps.append(original(*args, **kwargs))
+            return maps[-1]
+
+        monkeypatch.setattr(error_analysis, "error_map", recording)
+        return maps
+
+    @pytest.mark.parametrize("options", [
+        ["--axis", "inductor_loss"],
+        ["--axis", "participation"],
+        # a cell of exactly the threshold, 0.47862356621480701 at 1e-6, is measurable
+        ["--grid", "1e-6:1e-4:3", "--curves", "1e-5", "--threshold", "0.47862356621480701"],
+    ], ids=["inductor_loss", "participation", "at-threshold"])
+    def test_float_and_numpy_paths_give_the_same_bytes(self, tmp_path, monkeypatch, options):
+        # a small map is tabulated in floats; with a one-cell block limit
+        # the same map takes the numpy path
+        maps = self.recorded_error_maps(monkeypatch)
+        assert run("error-map", *options, "--out", tmp_path / "floats") == EXIT_OK
+        assert maps == []
+        monkeypatch.setattr(fileio, "_BLOCK_CELLS", 1)
+        assert run("error-map", *options, "--out", tmp_path / "numpy") == EXIT_OK
+        [emap] = maps
+        for name in ("error_map.csv", "error_map_summary.json"):
+            assert (tmp_path / "floats" / name).read_bytes() == \
+                (tmp_path / "numpy" / name).read_bytes()
+        # each curve's fraction, least and greatest measurable point, from the arrays
+        summary = json.loads((tmp_path / "floats" / "error_map_summary.json").read_text())
+        for curve, inside in zip(summary["curves"], emap.measurable_mask.T):
+            points = emap.capacitor_loss_grid[inside]
+            assert curve["measurable_fraction"] == float(np.mean(inside))
+            assert curve["measurable_min_capacitor_loss"] == float(points.min())
+            assert curve["measurable_max_capacitor_loss"] == float(points.max())
+
+    @pytest.mark.parametrize("extra_rows, numpy_path", [(0, False), (1, True)])
+    def test_maps_at_the_block_size_run(self, tmp_path, monkeypatch, extra_rows, numpy_path):
+        maps = self.recorded_error_maps(monkeypatch)
+        n_rows = fileio._BLOCK_CELLS // 4 + extra_rows  # 3 curves and the grid column
+        assert run("error-map", "--grid", f"1e-7:1e-1:{n_rows}", "--curves", "1e-6,1e-5,1e-4",
+                   "--out", tmp_path) == EXIT_OK
+        assert len(maps) == numpy_path
+        lines = (tmp_path / "error_map.csv").read_text().splitlines()
+        assert len(lines) == 4 + n_rows  # 3 metadata lines and the header
+        assert lines[-1].startswith("0.10000000000000001,")
+
 
 class TestMalformedInput:
     """Input and parse problems exit 2 with a JSON error report on stderr."""
@@ -997,11 +1049,15 @@ class TestImportGuard:
     @pytest.mark.parametrize("argv, absent", [
         (["extract", "--input", "table1"],
          ["numpy", "resloss.s21", "resloss.tls", "resloss.synth", "resloss.error_analysis"]),
-        (["error-map", "--grid", "1e-7:1e-1:11"], ["resloss.s21", "resloss.tls", "resloss.synth"]),
+        (["error-map", "--grid", "1e-7:1e-1:11"],
+         ["numpy", "resloss.s21", "resloss.tls", "resloss.synth"]),
+        # 3 curves and the grid column: a map of exactly one formatter block
+        (["error-map", "--grid", f"1e-7:1e-1:{fileio._BLOCK_CELLS // 4}", "--curves",
+          "1e-6,1e-5,1e-4"], ["numpy"]),
         (["fit-tls", "--input", "s21/power_sweep.csv"], ["resloss.synth", "resloss.error_analysis"]),
-        (["fit-s21", "--input", "fix"], ["resloss.synth", "resloss.error_analysis"]),
+        (["fit-s21", "--input", "fix"], ["numpy.ma", "resloss.synth", "resloss.error_analysis"]),
         (["synth", "--input", "truth.json"], []),
-    ], ids=["extract", "error-map", "fit-tls", "fit-s21", "synth"])
+    ], ids=["extract", "error-map", "error-map-block", "fit-tls", "fit-s21", "synth"])
     def test_command_loads_only_what_it_runs(self, fixtures, argv, absent):
         script = """
             import json, sys

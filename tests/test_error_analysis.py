@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from resloss import (
     participation_asymptote,
     systematic_error,
 )
+from resloss.error_analysis import error_rows
 
 positive_loss = st.floats(1e-8, 1e-1)
 
@@ -113,6 +116,19 @@ class TestLogGrid:
         with pytest.raises(GridRangeError):
             log_grid(1e-6, 1e-3, 1)
 
+    def test_definition(self):
+        # exact ends; 10 ** (log10(lo) + i * step) between them, by libm's pow
+        grid = log_grid(3e-8, 0.2, 101)
+        step = (math.log10(0.2) - math.log10(3e-8)) / 100
+        assert grid == [3e-8, *(10.0 ** (math.log10(3e-8) + i * step) for i in range(1, 100)),
+                        0.2]
+        assert all(type(x) is float for x in grid)
+
+    def test_default_grid_decades_are_the_nearest_doubles(self):
+        grid = log_grid(1e-7, 1e-1, 61)
+        assert grid[20] == 1e-5
+        assert [grid[10 * k] for k in range(7)] == [float(f"1e{k}") for k in range(-7, 0)]
+
     @pytest.mark.parametrize("lo, hi", [(1e-7, np.inf), (np.inf, np.inf), (1e-7, np.nan)])
     def test_non_finite_bounds(self, lo, hi):
         with pytest.raises(GridRangeError, match="finite"):
@@ -170,3 +186,42 @@ class TestErrorMap:
     def test_non_finite_values_rejected(self, curves, fixed, threshold):
         with pytest.raises(ValueError, match="finite"):
             error_map(AXIS_INDUCTOR_LOSS, np.array([1e-5]), curves, fixed, threshold)
+
+
+class TestErrorRows:
+    """The plain-float table agrees bit for bit with ``error_map``'s arrays."""
+
+    @pytest.mark.parametrize("axis, curves, fixed", [
+        (AXIS_INDUCTOR_LOSS, [1.12e-7, 1.12e-6, 1.12e-5, 1.12e-4, 1.12e-3], 0.102),
+        (AXIS_PARTICIPATION, [0.0, 0.001, 0.01, 0.102, 0.3], 1.12e-5),
+    ])
+    def test_same_bits_as_error_map(self, axis, curves, fixed):
+        grid = log_grid(1e-9, 1e2, 1365)
+        rows = error_rows(axis, grid, curves, fixed)
+        emap = error_map(axis, grid, curves, fixed)
+        assert all(type(x) is float for row in rows for x in row)
+        cells = np.array(rows)
+        assert cells.tobytes() == np.column_stack([emap.capacitor_loss_grid,
+                                                   emap.signed]).tobytes()
+
+    def test_plain_numbers_give_a_float(self):
+        assert type(systematic_error(1e-6, 1.12e-5, 0.102)) is float
+        assert isinstance(systematic_error(np.float32(1e-6), 1, 0), float)
+        assert systematic_error(np.array([1e-6]), 1.12e-5, 0.102).shape == (1,)
+
+    @pytest.mark.parametrize("args, error", [
+        (("coupling", [1e-5], [1e-5], 0.102), ValueError),
+        ((AXIS_INDUCTOR_LOSS, [], [1e-5], 0.102), GridRangeError),
+        ((AXIS_INDUCTOR_LOSS, [1e-5, -1.0], [1e-5], 0.102), GridRangeError),
+        ((AXIS_INDUCTOR_LOSS, [1e-5], [], 0.102), ValueError),
+        ((AXIS_INDUCTOR_LOSS, [1e-5], [1e-5], math.nan), ValueError),
+        ((AXIS_INDUCTOR_LOSS, [1e-5], [1e-5], 0.102, 0.0), ValueError),
+        ((AXIS_INDUCTOR_LOSS, [1e-5], [0.0], 0.102), ValueError),
+        ((AXIS_PARTICIPATION, [1e-5], [1.0], 1e-5), ValueError),
+    ])
+    def test_refuses_what_error_map_refuses(self, args, error):
+        with pytest.raises(error) as from_rows:
+            error_rows(*args)
+        with pytest.raises(error) as from_map:
+            error_map(*args)
+        assert str(from_rows.value) == str(from_map.value)

@@ -310,7 +310,7 @@ class TestGoldenBytes:
             "# fixed_value = 0.10199999999999999\n"
             "capacitor_loss,inductor_loss_1.0000000000000001e-05,inductor_loss_0.0001\n"
             "9.9999999999999995e-07,0.47862356621480701,0.90989367453595238\n"
-            "9.9999999999999991e-06,1.7279472123987727e-17,0.47862356621480712\n"
+            "1.0000000000000001e-05,0,0.47862356621480701\n"
             "0.0001,-0.1010790574763268,0\n"
         ).encode()
 
@@ -346,6 +346,24 @@ class TestTableWriter:
         assert str(info.value).startswith(f"{path}: ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("write", [
+        lambda path: write_table(path, {}, ["a", "b", "c"], np.zeros((0, 3))),
+        lambda path: write_table(path, {}, ["a", "b", "c"], []),
+        lambda path: write_power_sweep(path, [], f0=4.5e9, temperature=0.1),
+    ], ids=["array", "float-rows", "power-sweep"])
+    def test_refuses_a_table_with_no_rows(self, tmp_path, write):
+        # _read_table refuses a file with no data rows, so none is written
+        path = tmp_path / "table.csv"
+        with pytest.raises(ValueError, match=r"rows of at least one cell, got shape \(0,") as info:
+            write(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refuses_float_rows_of_different_lengths(self, tmp_path):
+        with pytest.raises(ValueError, match=r"got shape \(2, 1, 2\)"):
+            write_table(tmp_path / "table.csv", {}, ["a", "b"], [[1.0, 2.0], [3.0]])
+        assert list(tmp_path.iterdir()) == []
+
     def test_memory_does_not_grow_with_rows(self, tmp_path):
         # the 20001 x 51 table is about 21 MB of text; one block's work arrays are about 4 MB
         cells = np.random.default_rng(0).standard_normal((20001, 51))
@@ -371,7 +389,8 @@ class TestTableWriter:
 
 class TestCellFormat:
     """``write_table`` writes the bytes of ``%.17g`` per cell, on the cases that are
-    hard for its numpy formatter and on the cases it passes to ``fmt``."""
+    hard for its numpy formatter and on the cases it passes to ``fmt``, and the
+    same bytes for the cells as an array and as a list of float rows."""
 
     @staticmethod
     def assert_bytes_equal_percent(tmp_path, cells):
@@ -379,6 +398,8 @@ class TestCellFormat:
         path = tmp_path / "table.csv"
         header = [f"c{j}" for j in range(cells.shape[1])]
         write_table(path, {}, header, cells)
+        write_table(tmp_path / "rows.csv", {}, header, cells.tolist())
+        assert (tmp_path / "rows.csv").read_bytes() == path.read_bytes()
         row = ",".join(["%.17g"] * cells.shape[1]) + "\n"
         expected = ",".join(header) + "\n" + (row * len(cells)) % tuple(cells.ravel().tolist())
         text = path.read_text()
