@@ -10,8 +10,8 @@ the name heads the input's errors and its one provenance entry, beside
 its SHA-256 digest. No output embeds a timestamp, so reruns give the same
 bytes. All inputs are validated before any write, and writes are atomic.
 
-Each command imports the stages it runs, and numpy with them; ``extract``
-on a JSON device table and ``error-map`` on a map of at most
+Each command imports the stages it runs, and numpy with them where they
+need it: ``fit-tls``, ``extract`` and ``error-map`` on a map of at most
 ``fileio._BLOCK_CELLS`` cells load no numpy.
 """
 

@@ -8,7 +8,7 @@ Conventions shared by every writer:
   * delimited files carry ``# key = value`` metadata lines, then a
     header row and comma-separated cells; ``write_table`` writes every
     such file, formatting a fixed block of rows at a time so its memory
-    does not grow with the table's length, and ``_read_table`` parses
+    does not grow with the table's length, and ``_table_lines`` reads
     every one. A table given as a list of float rows is formatted by
     ``fmt``; an array's blocks are formatted in numpy (``_Cells``):
     correctly rounded digits from a double-double product, laid out per
@@ -20,9 +20,11 @@ Conventions shared by every writer:
     failure never leaves a truncated output;
   * no timestamps are embedded, so identical inputs give identical bytes.
 
-numpy, ``ComplexSweep`` and ``PowerSweepPoint`` load inside the table and
-sweep functions, so reading a JSON device table, writing a JSON report or
-writing a table of float rows loads none of them.
+Complex sweeps parse their cells by ``numpy.loadtxt``, and power sweeps
+and CSV device tables by ``_read_table``, which takes the same cells in
+plain Python. numpy, ``ComplexSweep`` and ``PowerSweepPoint`` load inside
+the functions that use them, so reading a power sweep or a device table,
+writing a JSON report or writing a table of float rows loads no numpy.
 """
 
 from __future__ import annotations
@@ -143,18 +145,16 @@ def naming_file(path, errors=(ValueError, ReslossError)):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _read_table(path: str | Path, dtype=float) -> tuple[dict[str, str], np.ndarray]:
-    """Metadata and cells of a delimited table.
+def _table_lines(path: str | Path, dtype=float):
+    """Metadata, the lines of cells of a delimited table, and their line numbers.
 
     ``# key = value`` lines are metadata; other ``#`` lines and blank
-    lines are skipped. The first remaining row is a header when its first
+    lines are skipped. The first remaining line is a header when its first
     cell is neither blank nor a number. A numeric table (``dtype=float``)
     may omit it and loses it; a text table (``dtype=str``) must have it
-    and keeps it as row 0. Cells may be quoted, an unquoted ``#`` starts a
-    comment, and every row needs the same number of cells.
+    and keeps it. The third value maps a returned line's index to its
+    line number in the file.
     """
-    import numpy as np
-
     meta: dict[str, str] = {}
     lines: list[str] = []
     text = read_text(path)
@@ -177,22 +177,50 @@ def _read_table(path: str | Path, dtype=float) -> tuple[dict[str, str], np.ndarr
     if len(lines) <= header:
         raise ValueError("no data rows")
     skip = int(header and dtype is float)
-    try:
-        # max_rows bounds the buffer numpy allocates for text cells (50000 rows by default)
-        cells = np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', ndmin=2,
-                           skiprows=skip, max_rows=len(lines))
-    except ValueError as exc:
-        # Name the file's line. numpy counts only the rows it parses, after the
-        # skipped header: from 0 for a bad cell, from 1 for a changed column count.
-        message = str(exc)
-        row = re.search(r"at row (\d+)", message)
-        if row:
-            index = skip + int(row[1]) - ("number of columns changed" in message)
-            numbers = [number for number, raw in enumerate(text.splitlines(), 1)
-                       if (line := raw.strip()) and not line.startswith("#")]
-            message = message.replace(row[0], f"at line {numbers[index]}", 1)
-        raise ValueError(message) from None
-    return meta, cells
+
+    def line_number(index: int) -> int:
+        return [number for number, raw in enumerate(text.splitlines(), 1)
+                if (line := raw.strip()) and not line.startswith("#")][skip + index]
+
+    return meta, lines[skip:], line_number
+
+
+# a cell and what ends it: from a leading '"' to the next lone '"' it is quoted
+# ('""' is one quote), an unquoted '#' ends the line, and so does an open quote
+_CELL = re.compile(r'(?:"((?:[^"]|"")*)"?)?([^,#]*)([,#]?)')
+
+
+def _read_table(path: str | Path, dtype=float) -> tuple[dict[str, str], list[list]]:
+    """Metadata and rows of cells of a delimited table, in plain Python.
+
+    Cells are split and converted as ``numpy.loadtxt(..., delimiter=",",
+    quotechar='"')`` does, errors included, which name the file's line:
+    every row needs the same number of cells, and a float cell takes only
+    what numpy's parser does, so no ``_`` separators and only ASCII.
+    """
+    meta, lines, line_number = _table_lines(path, dtype)
+    rows: list[list] = []
+    for index, line in enumerate(lines):
+        cells = []
+        for quoted, rest, end in _CELL.findall(line):
+            cells.append(quoted.replace('""', '"') + rest)
+            if end != ",":
+                break
+        if rows and len(cells) != len(rows[0]):
+            raise ValueError(f"the number of columns changed from {len(rows[0])} to "
+                             f"{len(cells)} at line {line_number(index)}; use `usecols` to "
+                             "select a subset and avoid this error")
+        if dtype is float:
+            for column, cell in enumerate(cells):
+                try:
+                    if "_" in cell or not cell.strip().isascii():
+                        raise ValueError
+                    cells[column] = float(cell)
+                except ValueError:
+                    raise ValueError(f"could not convert string {cell!r} to float64 at "
+                                     f"line {line_number(index)}, column {column + 1}.") from None
+        rows.append(cells)
+    return meta, rows
 
 
 def write_table(path: str | Path, meta: dict, header: Sequence[str], cells) -> None:
@@ -395,10 +423,17 @@ def write_sweep(path: str | Path, sweep: ComplexSweep, extra_meta: dict | None =
 
 
 def read_sweep(path: str | Path) -> ComplexSweep:
+    import numpy as np
+
     from .s21 import ComplexSweep
 
     with naming_file(path):
-        meta, data = _read_table(path)
+        meta, lines, _ = _table_lines(path)
+        try:
+            data = np.loadtxt(lines, delimiter=",", quotechar='"', ndmin=2, max_rows=len(lines))
+        except ValueError:
+            _read_table(path)  # the same error, naming the file's line
+            raise
         if data.shape[1] < 3:
             raise ValueError("a sweep needs frequency_hz, re_s21 and im_s21 columns")
         return ComplexSweep(
@@ -420,11 +455,9 @@ def write_power_sweep(
     temperature: float,
     extra_meta: dict | None = None,
 ) -> None:
-    import numpy as np
-
     meta = {"f0_GHz": fmt(f0 / GHZ), "T_K": fmt(temperature), **(extra_meta or {})}
     write_table(path, meta, ["photon_number", "loss", "loss_sigma"],
-                np.array([(p.photons, p.loss, p.loss_sigma) for p in points]).reshape(-1, 3))
+                [[p.photons, p.loss, p.loss_sigma] for p in points])
 
 
 def read_power_sweep(path: str | Path) -> tuple[list[PowerSweepPoint], float, float]:
@@ -437,13 +470,13 @@ def read_power_sweep(path: str | Path) -> tuple[list[PowerSweepPoint], float, fl
     from .tls import PowerSweepPoint
 
     with naming_file(path):
-        meta, data = _read_table(path)
-        if data.shape[1] < 2:
+        meta, rows = _read_table(path)
+        if len(rows[0]) < 2:
             raise ValueError("a power sweep needs photon_number and loss columns")
         if meta.get("fractional", "").lower() in ("true", "1", "yes"):
             raise ValueError(f"fractional = {meta['fractional']}: the photon axis must be "
                              "the mean photon number, not n/n_c")
-        points = [PowerSweepPoint(*row[:3]) for row in data.tolist()]
+        points = [PowerSweepPoint(*row[:3]) for row in rows]
         f0, temperature = float(meta["f0_GHz"]) * GHZ, float(meta["T_K"])
         if not (0.0 < f0 < math.inf and 0.0 < temperature < math.inf):
             raise ValueError(f"f0_GHz and T_K must be finite and > 0, got "
@@ -507,7 +540,7 @@ def read_device_table(path: str | Path) -> tuple[list[DeviceRecord], dict | None
     path = Path(path)
     with naming_file(path):
         if path.suffix.lower() != ".json":
-            header, *rows = _read_table(path, dtype=str)[1].tolist()  # plain str cells
+            header, *rows = _read_table(path, dtype=str)[1]
             header = [cell.strip() for cell in header]
             return [
                 _record_from_fields({k: v for k, v in zip(header, row) if v.strip()}, _csv_number)

@@ -19,17 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tls
 from .errors import FitFailureError, OutOfSpanError
+from .tls import LeastSquaresResult, hbar, k_B
 
 TWO_PI = 2.0 * math.pi
 
-# Exact SI values (2019 redefinition of the SI base units).
-hbar = 6.62607015e-34 / (2.0 * math.pi)  # J s
-k_B = 1.380649e-23  # J/K
-
-_TOL = 1e-12  # the one stop tolerance of least_squares, for every fit
-_MAX_NFEV = 200  # model evaluations before least_squares gives up
-_MU_MIN = 1e-12  # damping floor, relative to the unit-scaled J^T J
 _COND_MAX = 1e8  # above this condition number of J^T J, steps come from the SVD of J
 _EDGE_FRACTION = 0.05  # per side; the outer 10% of points are off-resonant
 
@@ -330,18 +325,6 @@ def calibrate_and_fit(
     return result, float(tau), complex(b * cmath.exp(2j * math.pi * f_c * tau))
 
 
-@dataclass
-class LeastSquaresResult:
-    """Outcome of ``least_squares``; plain and mutable."""
-
-    x: np.ndarray  # final parameters
-    fun: np.ndarray  # residuals at x
-    jac: np.ndarray  # Jacobian at x
-    cost: float  # 0.5 * sum(fun**2)
-    nfev: int  # model evaluations
-    success: bool  # a stop rule was met within _MAX_NFEV evaluations
-
-
 def least_squares(model, x0, bounds=(-np.inf, np.inf)) -> LeastSquaresResult:
     """Minimize 0.5*||r(x)||^2 within box bounds by Levenberg-Marquardt.
 
@@ -358,14 +341,15 @@ def least_squares(model, x0, bounds=(-np.inf, np.inf)) -> LeastSquaresResult:
     clipped onto it, and a parameter held at a bound by its gradient is
     left out of the step.
 
-    Every fit runs at one fixed tolerance, tol = ``_TOL``, which drives
+    Every fit runs at one fixed tolerance, tol = ``tls._TOL``, which drives
     three stop rules, each a success: the scaled gradient max_j
     |(J^T r)_j| / D_j is <= tol; the actual and the predicted relative
     cost reductions of a step are both <= tol; or the scaled step ||D dx||
     is <= tol * (tol + ||D x||). A tighter tol sits at the rounding floor
     of the cost and only adds evaluations. Returns success=False, at the
-    best point found, when ``_MAX_NFEV`` model evaluations pass first.
+    best point found, when ``tls._MAX_NFEV`` model evaluations pass first.
     """
+    tol, max_nfev = tls._TOL, tls._MAX_NFEV
     lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), np.shape(x0)) for b in bounds)
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     r, J = model(x)
@@ -374,12 +358,12 @@ def least_squares(model, x0, bounds=(-np.inf, np.inf)) -> LeastSquaresResult:
     scale = np.zeros(x.size)
     mu, nu = 1e-3, 2.0
     success = False
-    while not success and nfev < _MAX_NFEV:
+    while not success and nfev < max_nfev:
         A = J.T @ J
         g = J.T @ r
         scale = np.maximum(scale, np.sqrt(np.diag(A)))
         free = (scale > 0.0) & ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
-        if np.all(np.abs(g[free]) <= _TOL * scale[free]):
+        if np.all(np.abs(g[free]) <= tol * scale[free]):
             success = True
             break
         d = scale[free]
@@ -392,7 +376,7 @@ def least_squares(model, x0, bounds=(-np.inf, np.inf)) -> LeastSquaresResult:
             u, sv, vt = np.linalg.svd(J[:, free] / d, full_matrices=False)
             V, lam, coef = vt.T, sv**2, -sv * (u.T @ r)
         x_norm = math.sqrt(float(np.sum((scale * x) ** 2)))
-        while nfev < _MAX_NFEV:
+        while nfev < max_nfev:
             step = np.zeros(x.size)
             step[free] = V @ (coef / (lam + mu)) / d
             trial = np.clip(x + step, lo, hi)
@@ -405,12 +389,12 @@ def least_squares(model, x0, bounds=(-np.inf, np.inf)) -> LeastSquaresResult:
             actual = cost - cost_trial
             ratio = actual / predicted if predicted > 0.0 else -1.0
             success = (
-                math.sqrt(float(np.sum((scale * s) ** 2))) <= _TOL * (_TOL + x_norm)
-                or (abs(actual) <= _TOL * cost and predicted <= _TOL * cost and ratio <= 2.0)
+                math.sqrt(float(np.sum((scale * s) ** 2))) <= tol * (tol + x_norm)
+                or (abs(actual) <= tol * cost and predicted <= tol * cost and ratio <= 2.0)
             )
             if ratio > 1e-4:
                 x, r, J, cost = trial, r_trial, J_trial, cost_trial
-                mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), _MU_MIN)
+                mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), tls._MU_MIN)
                 nu = 2.0
                 break
             mu, nu = mu * nu, 2.0 * nu

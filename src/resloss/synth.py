@@ -140,7 +140,7 @@ def _illinois(func, a: float, b: float) -> float:
             if kept == 1:
                 fa *= 0.5
             kept = 1
-        if b - a <= 4.0 * np.spacing(c):
+        if b - a <= 4.0 * math.ulp(c):
             break
     return c
 

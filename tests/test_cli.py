@@ -1043,6 +1043,9 @@ class TestImportGuard:
         }))
         assert run("synth", "--input", truth, "--out", base / "fix") == EXIT_OK
         assert run("fit-s21", "--input", base / "fix", "--out", base / "s21") == EXIT_OK
+        device_table(base, "A,LE_PPC,Al/Al2O3/Al,3.7464,17,3,727.7,82.2,2.42,920e-6,7e-6",
+                     "B,LE_IDC,Planar Al,6.3798,13,30,34.7,64.4,1.87,8.9e-6,0.1e-6",
+                     "C,CPW,Planar Al,4.5548,,,,,,8.42e-6,0.06e-6")
         return base
 
     # Each command in a fresh interpreter, with the modules it must not load.
@@ -1054,10 +1057,16 @@ class TestImportGuard:
         # 3 curves and the grid column: a map of exactly one formatter block
         (["error-map", "--grid", f"1e-7:1e-1:{fileio._BLOCK_CELLS // 4}", "--curves",
           "1e-6,1e-5,1e-4"], ["numpy"]),
-        (["fit-tls", "--input", "s21/power_sweep.csv"], ["resloss.synth", "resloss.error_analysis"]),
+        (["extract", "--input", "devices.csv"],
+         ["numpy", "resloss.s21", "resloss.tls", "resloss.synth", "resloss.error_analysis"]),
+        (["fit-tls", "--input", "s21/power_sweep.csv", "--beta", "fixed"],
+         ["numpy", "resloss.s21", "resloss.synth", "resloss.error_analysis"]),
+        (["fit-tls", "--input", "s21/power_sweep.csv", "--beta", "free"],
+         ["numpy", "resloss.s21", "resloss.synth", "resloss.error_analysis"]),
         (["fit-s21", "--input", "fix"], ["numpy.ma", "resloss.synth", "resloss.error_analysis"]),
         (["synth", "--input", "truth.json"], []),
-    ], ids=["extract", "error-map", "error-map-block", "fit-tls", "fit-s21", "synth"])
+    ], ids=["extract", "error-map", "error-map-block", "extract-csv", "fit-tls", "fit-tls-free",
+            "fit-s21", "synth"])
     def test_command_loads_only_what_it_runs(self, fixtures, argv, absent):
         script = """
             import json, sys
@@ -1176,15 +1185,15 @@ class TestProvenance:
 GOLDEN_REPORTS = {
     "ppc/s21/fit_s21.json": "21688d1e8ebd16c9c05cd8c5147a3269aecefe2fdfe38d930a6a5d85e3e2881e",
     "ppc/s21/power_sweep.csv": "9244b7eaff2215aa426373f42f279eb7518a3be863ffa4ae432d6adfab6a67b6",
-    "ppc/fixed/fit_tls.json": "e2548e80bd7c30b2f8b01465d0e65840574625f97c75e966275e52db0884c149",
-    "ppc/free/fit_tls.json": "0c2fea0eb8bd663e133372f92569c90d6b8eb10357626975da2f2659bf142a94",
+    "ppc/fixed/fit_tls.json": "7d812ce87dd7eccf2064dc572a8e5d90e8feb07ed7d6c674763c13bf47fe7207",
+    "ppc/free/fit_tls.json": "a7e5967f625007ea4c145f5c587f2b800b1e287ca4b77214295dee11d195f53f",
     "idc/s21/fit_s21.json": "fe61b343fc7295b51b62fb7ddecfc8e67b904d01e51734a6c471f7089a5f7a1e",
     "idc/s21/power_sweep.csv": "097bd82b95095a9b27a04c209f1797d1b73f1cc944210a0cd4ae1623b39a5a8a",
-    "idc/fixed/fit_tls.json": "dbc94c829744e94456bbf37c5a7cf73c09b76a642334b65517f908a20bb4a7c6",
+    "idc/fixed/fit_tls.json": "6e9b0491c8bf4937c24e02abad0e0f3e6bef3c274f96e0f4164cdaa36b635bc0",
     "cpw/s21/fit_s21.json": "1e4e898092abdfebcb5ff5ae23f8fa1a80d8d211a67b941c651cf8afb00d757a",
     "cpw/s21/power_sweep.csv": "3ab8d9d5206a51eba610301de0797d8515b0eda14d8c4c4353c3fc108668128f",
-    "cpw/fixed/fit_tls.json": "8802073c55893368669848b15c6492fc71c9be2bf35b0fab08fe794f51963c5c",
-    "ext/extract.json": "8679b10b00f8bbe0f9081f33e6e663e14999f3b06b1bf7df1491aef182ab504f",
+    "cpw/fixed/fit_tls.json": "06dc2090c5edd0521477fb52031768d69306738a7bda989cf479f61a87d1d650",
+    "ext/extract.json": "8632d7139166675eac38daff533cd3b43dcda47434d13c1df88f7cc41e5bda47",
 }
 
 

@@ -89,6 +89,9 @@ class TestSweepFiles:
         (read_power_sweep, "1,2,3\n\n4,5,6\n7,8\n", "columns changed from 3 to 2 at line 10;"),
         (read_power_sweep, "1,2,3\n# note\n4,5,,\n", "columns changed from 3 to 4 at line 9;"),
         (read_power_sweep, "1,2,3\n4,x,6\n", "could not convert string 'x' to float64 at line 8,"),
+        # cells that Python's float() takes and numpy's parser does not
+        (read_power_sweep, "1,2,3\n4,1_0,6\n", "convert string '1_0' to float64 at line 8, column 2."),
+        (read_power_sweep, "1,2,3\n\uff14,5,6\n", "to float64 at line 8, column 1."),
     ])
     def test_bad_row_names_the_file_line(self, tmp_path, reader, rows, match):
         # lines 1-4 metadata, 5 the header, 6 blank; rows start at line 7
@@ -142,6 +145,21 @@ class TestPowerSweepFiles:
         with pytest.raises(ValueError, match="not n/n_c") as info:
             read_power_sweep(path)
         assert str(info.value).startswith(f"{path}: fractional = {value}:")
+
+    def test_cells_read_as_numpy_reads_them(self, tmp_path):
+        # a byte-order mark, quoted numbers, inline comments and blank lines:
+        # the points are those that numpy.loadtxt reads from the same rows
+        rows = ['"1e-2",2e-5,"1e-7"', "", "10, 1.5e-5 ,1e-7 # a note, with a comma",
+                '"1e3","1.2e-5",0#x', "", '1e4,"9e-6", 1e-7 ']
+        path = tmp_path / "power.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + ("# f0_GHz = 4.5\n# T_K = 0.1\n"
+                                            "photon_number,loss,loss_sigma\n"
+                                            + "\n".join(rows) + "\n").encode())
+        expected = np.loadtxt([row for row in rows if row], delimiter=",", quotechar='"')
+        points, f0, temperature = read_power_sweep(path)
+        assert [(p.photons, p.loss, p.loss_sigma) for p in points] == [
+            tuple(row) for row in expected.tolist()]
+        assert (f0, temperature) == (4.5e9, 0.1)
 
     def test_two_columns_have_zero_sigma(self, tmp_path):
         path = tmp_path / "power.csv"

@@ -1,11 +1,11 @@
-"""The numpy Levenberg-Marquardt solver, with scipy's trf method as oracle.
+"""The two Levenberg-Marquardt solvers, with scipy's trf method as oracle.
 
 scipy is a test-only dependency: the oracle scans rebind the
 ``least_squares`` name that ``resloss.s21`` and ``resloss.tls`` call
 to an adaptor over ``scipy.optimize.least_squares(method="trf")`` and
 refit the same sweeps, so both solvers see the same residuals, Jacobians,
 bounds and Jacobian-norm scaling. The oracle runs at tolerances of 1e-14
-and 600 evaluations, tighter than the numpy solver's fixed 1e-12 and 200.
+and 600 evaluations, tighter than the solvers' fixed 1e-12 and 200.
 """
 
 import math
@@ -31,7 +31,7 @@ SIGMA_TOL = 1e-3  # largest solver difference, in units of the oracle's one-sigm
 
 
 def trf(model, x0, bounds):
-    # The numpy solver always scales by the Jacobian's column norms.
+    # Both solvers always scale by the Jacobian's column norms.
     return scipy.optimize.least_squares(
         lambda x: model(x)[0], x0, jac=lambda x: model(x)[1], bounds=bounds,
         ftol=1e-14, xtol=1e-14, gtol=1e-14, max_nfev=600, method="trf", x_scale="jac")
@@ -49,32 +49,46 @@ class TestSolver:
         assert res.cost == pytest.approx(0.5 * np.sum(res.fun**2), rel=1e-15)
         np.testing.assert_array_equal(res.jac, x)
 
-    def test_bound_holds_a_parameter(self):
+    # Two 2-parameter problems, each solved by the S21 fit's numpy solver and
+    # by the TLS fit's float solver, which must take the same path.
+    @staticmethod
+    def bounded(p):
         # unconstrained minimum at (2, -1); the box caps the first at 1.5
-        def model(p):
-            return (np.array([p[0] - 2.0, p[1] + 1.0, 0.1 * p[0] * p[1]]),
-                    np.array([[1.0, 0.0], [0.0, 1.0], [0.1 * p[1], 0.1 * p[0]]]))
+        return (np.array([p[0] - 2.0, p[1] + 1.0, 0.1 * p[0] * p[1]]),
+                np.array([[1.0, 0.0], [0.0, 1.0], [0.1 * p[1], 0.1 * p[0]]]))
 
-        res = least_squares(model, np.array([0.0, 0.0]), bounds=([-5.0, -5.0], [1.5, 5.0]))
+    @staticmethod
+    def rosenbrock(p):
+        return (np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]]),
+                np.array([[-20.0 * p[0], 10.0], [-1.0, 0.0]]))
+
+    @staticmethod
+    def both_solvers(model, x0, bounds):
+        arrays = least_squares(model, np.array(x0), bounds=bounds)
+        floats = tls.least_squares(model, x0, bounds)
+        assert (floats.success, floats.nfev) == (arrays.success, arrays.nfev)
+        np.testing.assert_allclose(floats.x, arrays.x, rtol=1e-12)
+        return arrays
+
+    def test_bound_holds_a_parameter(self):
+        res = self.both_solvers(self.bounded, [0.0, 0.0], ([-5.0, -5.0], [1.5, 5.0]))
         assert res.success
         assert res.x[0] == 1.5
         # with p0 held, p1 minimizes (p1 + 1)^2 + (0.15 p1)^2
         assert res.x[1] == pytest.approx(-1.0 / 1.0225, rel=1e-7)
 
     def test_evaluation_cap_reports_failure(self, monkeypatch):
-        def model(p):
-            return (np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]]),
-                    np.array([[-20.0 * p[0], 10.0], [-1.0, 0.0]]))
-
+        unbounded = ([-math.inf] * 2, [math.inf] * 2)
         with monkeypatch.context() as patch:
-            patch.setattr(s21, "_MAX_NFEV", 3)
-            capped = least_squares(model, np.array([-1.2, 1.0]))
+            patch.setattr(tls, "_MAX_NFEV", 3)  # the one cap of both solvers
+            capped = self.both_solvers(self.rosenbrock, [-1.2, 1.0], unbounded)
         assert not capped.success
         assert capped.nfev == 3
-        full = least_squares(model, np.array([-1.2, 1.0]))
+        full = self.both_solvers(self.rosenbrock, [-1.2, 1.0], unbounded)
         assert full.success
         np.testing.assert_allclose(full.x, [1.0, 1.0], rtol=1e-10)
         assert capped.cost > full.cost
+
 
 def assert_same_resonance(fit, ref):
     for name in ("f0", "q_i", "q_c", "phi"):
