@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable
 
 from .errors import (
     InfeasibleGeometryError,
     InvalidModelError,
     NonphysicalFitError,
+    Record,
     UnderdeterminedError,
 )
 
@@ -34,8 +35,12 @@ class DesignKind(str, enum.Enum):
     CPW = "CPW"
 
 
-@dataclass(frozen=True)
-class DeviceCircuitModel:
+class DeviceCircuitModel(Record, namedtuple("DeviceCircuitModel", [
+    "inductance",  # H
+    "cap_capacitance",  # F
+    "stray_capacitance",  # F
+    "label",
+], defaults=("",))):
     """Lumped RLC description of one resonator.
 
     ``cap_capacitance`` is the lumped capacitor under test (PPC or IDC);
@@ -44,12 +49,10 @@ class DeviceCircuitModel:
     set the loss participation of each element.
     """
 
-    inductance: float  # H
-    cap_capacitance: float  # F
-    stray_capacitance: float  # F
-    label: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (math.isfinite(self.inductance) and self.inductance > 0.0):
             raise InvalidModelError(f"inductance must be > 0, got {self.inductance}")
         if not (math.isfinite(self.cap_capacitance) and self.cap_capacitance > 0.0):
@@ -60,6 +63,7 @@ class DeviceCircuitModel:
             raise InvalidModelError(
                 f"stray_capacitance must be >= 0, got {self.stray_capacitance}"
             )
+        return self
 
     @property
     def total_capacitance(self) -> float:
@@ -74,8 +78,14 @@ class DeviceCircuitModel:
         return self.stray_capacitance / self.total_capacitance
 
 
-@dataclass(frozen=True)
-class DeviceRecord:
+class DeviceRecord(Record, namedtuple("DeviceRecord", [
+    "label",
+    "design",  # DesignKind
+    "material",
+    "f0",  # Hz, measured
+    "circuit",  # DeviceCircuitModel or None
+    "loss", "loss_err",  # float or None
+], defaults=(None, None, None))):
     """One row of a measured-device table.
 
     CPW devices carry no lumped circuit model (their table cells are
@@ -83,19 +93,15 @@ class DeviceRecord:
     provides it.
     """
 
-    label: str
-    design: DesignKind
-    material: str
-    f0: float  # Hz, measured
-    circuit: DeviceCircuitModel | None = None
-    loss: float | None = None
-    loss_err: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (math.isfinite(self.f0) and self.f0 > 0.0):
             raise InvalidModelError(f"f0 must be > 0, got {self.f0}")
         if self.design is DesignKind.CPW and self.circuit is not None:
             raise InvalidModelError("CPW records carry no circuit model")
+        return self
 
 
 def resonance_frequency(model: DeviceCircuitModel) -> float:
@@ -127,13 +133,14 @@ def capacitance_from_frequency(f0: float, inductance: float, stray_capacitance: 
     return cap
 
 
-@dataclass(frozen=True)
-class LcFit:
+class LcFit(namedtuple("LcFit", [
+    "inductance",  # H
+    "stray_capacitance",  # F
+    "residual_rms",  # RMS misfit of 1/(2*pi*f0)^2, in s^2
+])):
     """Result of the (C, f0) table regression."""
 
-    inductance: float  # H
-    stray_capacitance: float  # F
-    residual_rms: float  # RMS misfit of 1/(2*pi*f0)^2, in s^2
+    __slots__ = ()
 
 
 def fit_lc(points: Iterable[tuple[float, float]]) -> LcFit:

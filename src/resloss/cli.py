@@ -12,13 +12,13 @@ bytes. All inputs are validated before any write, and writes are atomic.
 
 Each command imports the stages it runs, and numpy with them where they
 need it: ``fit-tls``, ``extract`` and ``error-map`` on a map of at most
-``fileio._BLOCK_CELLS`` cells load no numpy.
+``fileio._BLOCK_CELLS`` cells load no numpy. The records are named
+tuples, so those commands import no ``inspect`` either.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -116,7 +116,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             doc = {**_DEFAULT_TRUTH, "powers": [float(p) for p in np.geomspace(1e-18, 1e-13, 21)]}
         if not isinstance(doc, dict):
             raise ValueError("truth must be a JSON object")
-        for key in sorted(doc.keys() - {f.name for f in dataclasses.fields(synth.GroundTruth)}):
+        for key in sorted(doc.keys() - set(synth.GroundTruth._fields)):
             raise ValueError(f"unknown truth field {key!r}")
         if args.seed is not None:
             doc["seed"] = args.seed

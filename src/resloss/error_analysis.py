@@ -13,7 +13,7 @@ capacitor loss and tabulate the error per curve parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import GridRangeError
@@ -53,8 +53,11 @@ def participation_asymptote(participation: float) -> float:
     return participation / (1.0 - participation)
 
 
-@dataclass(frozen=True)
-class ErrorMap:
+class ErrorMap(namedtuple("ErrorMap", [
+    "axis", "capacitor_loss_grid", "curves",
+    "fixed_value",  # participation or inductor loss, per axis
+    "signed", "threshold",
+])):
     """Error over a capacitor-loss grid, one curve per swept parameter.
 
     ``axis`` names what the curves enumerate: inductor loss values at a
@@ -62,12 +65,7 @@ class ErrorMap:
     loss. ``signed`` has shape (len(grid), len(curves)).
     """
 
-    axis: str
-    capacitor_loss_grid: np.ndarray
-    curves: tuple[float, ...]
-    fixed_value: float  # participation or inductor loss, per axis
-    signed: np.ndarray
-    threshold: float
+    __slots__ = ()
 
     @property
     def magnitude(self) -> np.ndarray:

@@ -1,4 +1,18 @@
-"""Exception types shared across the toolkit."""
+"""Exception types, and the base of the validated records, shared across the toolkit."""
+
+
+class Record(tuple):
+    """Base of the named-tuple records whose ``__new__`` checks the fields.
+
+    ``_make``, and so ``_replace``, builds through the constructor, so it
+    runs the same checks.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class ReslossError(Exception):

@@ -21,10 +21,9 @@ propagate exactly to first order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .circuit import DeviceCircuitModel
-from .errors import InconsistentInputsError
+from .errors import InconsistentInputsError, Record
 
 # What the curves of a single-measurement error map enumerate: inductor
 # losses at a fixed participation, or participations at a fixed inductor loss.
@@ -32,20 +31,19 @@ AXIS_INDUCTOR_LOSS = "inductor_loss"
 AXIS_PARTICIPATION = "participation"
 
 
-@dataclass(frozen=True)
-class ExtractionInput:
+class ExtractionInput(Record, namedtuple("ExtractionInput", [
+    "ppc_resonator_loss",  # total loss of the PPC lumped-element device
+    "idc_resonator_loss",  # total loss of the IDC lumped-element device
+    "cpw_loss",  # loss of the CPW proxy resonator
+    "ppc_circuit", "idc_circuit",  # their DeviceCircuitModel
+    "ppc_resonator_loss_err", "idc_resonator_loss_err", "cpw_loss_err",
+], defaults=(0.0, 0.0, 0.0))):
     """Measured losses and circuit models of the three devices."""
 
-    ppc_resonator_loss: float  # total loss of the PPC lumped-element device
-    idc_resonator_loss: float  # total loss of the IDC lumped-element device
-    cpw_loss: float  # loss of the CPW proxy resonator
-    ppc_circuit: DeviceCircuitModel
-    idc_circuit: DeviceCircuitModel
-    ppc_resonator_loss_err: float = 0.0
-    idc_resonator_loss_err: float = 0.0
-    cpw_loss_err: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("ppc_resonator_loss", "idc_resonator_loss", "cpw_loss"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
@@ -64,17 +62,18 @@ class ExtractionInput:
                     for c in (self.ppc_circuit, self.idc_circuit))
         if ppc == idc:  # the element values, whatever the labels
             raise ValueError("PPC and IDC devices must carry distinct circuit models")
+        return self
 
 
-@dataclass(frozen=True)
-class ExtractionResult:
+class ExtractionResult(namedtuple("ExtractionResult", [
+    "inductor_loss",
+    "ppc_loss",  # extracted dielectric loss of the parallel plate capacitor
+    "fractional_difference",  # (extracted - single) / single
+    "inductor_loss_err", "ppc_loss_err",
+], defaults=(0.0, 0.0))):
     """Extracted losses plus the single-measurement comparison."""
 
-    inductor_loss: float
-    ppc_loss: float  # extracted dielectric loss of the parallel plate capacitor
-    fractional_difference: float  # (extracted - single) / single
-    inductor_loss_err: float = 0.0
-    ppc_loss_err: float = 0.0
+    __slots__ = ()
 
 
 def _solve_element(

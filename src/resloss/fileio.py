@@ -428,12 +428,15 @@ def read_sweep(path: str | Path) -> ComplexSweep:
     from .s21 import ComplexSweep
 
     with naming_file(path):
-        meta, lines, _ = _table_lines(path)
+        meta, lines, line_number = _table_lines(path)
         try:
             data = np.loadtxt(lines, delimiter=",", quotechar='"', ndmin=2, max_rows=len(lines))
         except ValueError:
             _read_table(path)  # the same error, naming the file's line
             raise
+        if len(data) < len(lines):  # a quote left open joined lines into one row
+            index = next(i for i, line in enumerate(lines) if line.count('"') % 2)
+            raise ValueError(f"a quoted cell is left open at line {line_number(index)}")
         if data.shape[1] < 3:
             raise ValueError("a sweep needs frequency_hz, re_s21 and im_s21 columns")
         return ComplexSweep(

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from . import tls
-from .errors import FitFailureError, OutOfSpanError
+from .errors import FitFailureError, OutOfSpanError, Record
 from .tls import LeastSquaresResult, hbar, k_B
 
 TWO_PI = 2.0 * math.pi
@@ -29,18 +29,22 @@ _COND_MAX = 1e8  # above this condition number of J^T J, steps come from the SVD
 _EDGE_FRACTION = 0.05  # per side; the outer 10% of points are off-resonant
 
 
-@dataclass(frozen=True)
-class ComplexSweep:
-    """One frequency sweep of complex transmission at fixed power and T."""
+class ComplexSweep(Record, namedtuple("ComplexSweep", [
+    "frequencies",  # Hz, positive and strictly increasing
+    "s21",  # complex transmission
+    "power",  # W, at the device reference plane
+    "temperature",  # K
+])):
+    """One frequency sweep of complex transmission at fixed power and T.
 
-    frequencies: np.ndarray  # Hz, positive and strictly increasing
-    s21: np.ndarray  # complex transmission
-    power: float  # W, at the device reference plane
-    temperature: float  # K
+    The arrays are read-only copies of the ones given.
+    """
 
-    def __post_init__(self):
-        f = np.asarray(self.frequencies, dtype=float)
-        z = np.asarray(self.s21, dtype=complex)
+    __slots__ = ()
+
+    def __new__(cls, frequencies, s21, power, temperature):
+        f = np.asarray(frequencies, dtype=float)
+        z = np.asarray(s21, dtype=complex)
         if f.ndim != 1 or z.shape != f.shape:
             raise ValueError("frequencies and s21 must be 1-D arrays of equal length")
         if f.size < 16:
@@ -55,35 +59,27 @@ class ComplexSweep:
             raise ValueError("sweep contains non-finite samples")
         if not f[0] > 0.0:
             raise ValueError(f"frequencies must be > 0, got {f[0]}")
-        for name in ("power", "temperature"):
-            value = getattr(self, name)
+        for name, value in (("power", power), ("temperature", temperature)):
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
         f = f.copy()
         z = z.copy()
         f.setflags(write=False)
         z.setflags(write=False)
-        object.__setattr__(self, "frequencies", f)
-        object.__setattr__(self, "s21", z)
-
-    def __len__(self) -> int:
-        return self.frequencies.size
+        return super().__new__(cls, f, z, power, temperature)
 
 
-@dataclass(frozen=True)
-class ResonatorFitResult:
+class ResonatorFitResult(namedtuple("ResonatorFitResult", [
+    "f0",  # Hz
+    "q_i", "q_c",
+    "phi",  # rad, impedance-mismatch rotation of the coupling term
+    "f0_err", "q_i_err", "q_c_err", "phi_err",
+    "residual_rms",  # RMS of the complex transmission misfit
+    "nfev",  # model evaluations of the solver
+])):
     """Fitted resonance parameters with one-sigma uncertainties."""
 
-    f0: float  # Hz
-    q_i: float
-    q_c: float
-    phi: float  # rad, impedance-mismatch rotation of the coupling term
-    f0_err: float
-    q_i_err: float
-    q_c_err: float
-    phi_err: float
-    residual_rms: float  # RMS of the complex transmission misfit
-    nfev: int  # model evaluations of the solver
+    __slots__ = ()
 
     @property
     def loss(self) -> float:

@@ -17,61 +17,62 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
+from .errors import Record
 from .s21 import ComplexSweep, inverse_s21_model, photon_number
 from .tls import PowerSweepPoint, TlsLossParams, total_loss
 
 _POWER_SWEEP_STREAM = 2**32
 
 
-@dataclass(frozen=True)
-class GroundTruth:
+class GroundTruth(Record, namedtuple("GroundTruth", [
+    "f0",  # Hz
+    "q_c",
+    "phi",  # rad
+    "f_tan_delta0", "n_c", "beta", "q_hp",
+    "temperature",  # K
+    "span",  # Hz, sweep window centered on f0
+    "n_points",
+    "powers",  # W at the device plane, one sweep each; a tuple of floats
+    "s21_sigma",  # additive complex noise, per quadrature
+    "delay",  # s
+    "baseline",  # complex
+    "loss_rel_sigma",  # multiplicative noise on power-sweep losses
+    "seed",
+], defaults=(0.0, 0.0, 1.0 + 0.0j, 0.0, 0))):
     """Generator parameters for one synthetic resonator measurement set."""
 
-    f0: float  # Hz
-    q_c: float
-    phi: float  # rad
-    f_tan_delta0: float
-    n_c: float
-    beta: float
-    q_hp: float
-    temperature: float  # K
-    span: float  # Hz, sweep window centered on f0
-    n_points: int
-    powers: tuple[float, ...]  # W at the device plane, one sweep each
-    s21_sigma: float = 0.0  # additive complex noise, per quadrature
-    delay: float = 0.0  # s
-    baseline: complex = 1.0 + 0.0j
-    loss_rel_sigma: float = 0.0  # multiplicative noise on power-sweep losses
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        given = super().__new__(cls, *args, **kwargs)
         for name in ("f0", "q_c", "phi", "f_tan_delta0", "n_c", "beta", "q_hp", "temperature",
                      "span", "s21_sigma", "delay", "loss_rel_sigma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not (self.f0 > 0.0 and self.q_c > 0.0):
+            if not math.isfinite(getattr(given, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(given, name)}")
+        if not (given.f0 > 0.0 and given.q_c > 0.0):
             raise ValueError("f0 and q_c must be > 0")
-        if not self.span > 0.0:
+        if not given.span > 0.0:
             raise ValueError("span must be > 0")
-        if self.n_points < 16:
-            raise ValueError(f"need at least 16 points per sweep, got {self.n_points}")
-        if self.s21_sigma < 0.0 or self.loss_rel_sigma < 0.0:
+        if given.n_points < 16:
+            raise ValueError(f"need at least 16 points per sweep, got {given.n_points}")
+        if given.s21_sigma < 0.0 or given.loss_rel_sigma < 0.0:
             raise ValueError("noise levels must be >= 0")
-        if len(self.powers) == 0 or not all(0.0 < p < math.inf for p in self.powers):
+        if len(given.powers) == 0 or not all(0.0 < p < math.inf for p in given.powers):
             raise ValueError(f"powers must be a non-empty list of finite positive watts, "
-                             f"got {list(self.powers)}")
-        if not isinstance(self.baseline, numbers.Complex):
-            raise ValueError(f"baseline must be a complex scalar, got {self.baseline!r}")
-        if not (cmath.isfinite(self.baseline) and self.baseline != 0):
-            raise ValueError(f"baseline must be finite and nonzero, got {self.baseline}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
-        object.__setattr__(self, "baseline", complex(self.baseline))
-        object.__setattr__(self, "powers", tuple(float(p) for p in self.powers))
+                             f"got {list(given.powers)}")
+        if not isinstance(given.baseline, numbers.Complex):
+            raise ValueError(f"baseline must be a complex scalar, got {given.baseline!r}")
+        if not (cmath.isfinite(given.baseline) and given.baseline != 0):
+            raise ValueError(f"baseline must be finite and nonzero, got {given.baseline}")
+        if not 0 <= given.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {given.seed}")
+        # the fields as given are checked; the record holds them normalised
+        return super().__new__(cls, **{**given._asdict(), "baseline": complex(given.baseline),
+                                       "powers": tuple(float(p) for p in given.powers)})
 
     @property
     def tls_params(self) -> TlsLossParams:

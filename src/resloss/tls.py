@@ -20,11 +20,11 @@ and covariance all go through one modified Gram-Schmidt solve (``_lstsq``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 from typing import Sequence
 
-from .errors import FitFailureError, IllConditionedFitError
+from .errors import FitFailureError, IllConditionedFitError, Record
 
 # Exact SI values (2019 redefinition of the SI base units).
 hbar = 6.62607015e-34 / (2.0 * math.pi)  # J s
@@ -46,18 +46,20 @@ def thermal_factor(omega0: float, temperature: float) -> float:
     return math.tanh(hbar * omega0 / (2.0 * k_B * temperature))
 
 
-@dataclass(frozen=True)
-class TlsLossParams:
+class TlsLossParams(Record, namedtuple("TlsLossParams", [
+    "f_tan_delta0",  # zero-power zero-temperature TLS loss, dimensionless
+    "n_c",  # critical photon number
+    "beta",  # saturation exponent, 0 < beta <= 1
+    "q_hp",  # high-power quality factor
+    "omega0",  # angular resonance frequency, rad/s
+    "temperature",  # K
+])):
     """Parameter set of the saturable TLS loss curve."""
 
-    f_tan_delta0: float  # zero-power zero-temperature TLS loss, dimensionless
-    n_c: float  # critical photon number
-    beta: float  # saturation exponent, 0 < beta <= 1
-    q_hp: float  # high-power quality factor
-    omega0: float  # angular resonance frequency, rad/s
-    temperature: float  # K
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.f_tan_delta0 >= 0.0 and math.isfinite(self.f_tan_delta0)):
             raise ValueError(f"f_tan_delta0 must be >= 0, got {self.f_tan_delta0}")
         if not self.n_c > 0.0:
@@ -66,31 +68,34 @@ class TlsLossParams:
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
         if not self.q_hp > 0.0:
             raise ValueError(f"q_hp must be > 0, got {self.q_hp}")
-        if not self.omega0 > 0.0:
-            raise ValueError(f"omega0 must be > 0, got {self.omega0}")
-        if not self.temperature > 0.0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
+        for name in ("omega0", "temperature"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        return self
 
     @property
     def thermal_factor(self) -> float:
         return thermal_factor(self.omega0, self.temperature)
 
 
-@dataclass(frozen=True)
-class PowerSweepPoint:
+class PowerSweepPoint(Record, namedtuple("PowerSweepPoint", [
+    "photons",  # mean photon number n
+    "loss", "loss_sigma",
+], defaults=(0.0,))):
     """One measured loss point of a photon-number sweep."""
 
-    photons: float  # mean photon number n
-    loss: float
-    loss_sigma: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.photons < math.inf:
             raise ValueError(f"photons must be finite and >= 0, got {self.photons}")
         if not 0.0 < self.loss < math.inf:
             raise ValueError(f"loss must be finite and > 0, got {self.loss}")
         if not 0.0 <= self.loss_sigma < math.inf:
             raise ValueError(f"loss_sigma must be finite and >= 0, got {self.loss_sigma}")
+        return self
 
 
 def tls_loss(photons, params: TlsLossParams):
@@ -107,8 +112,13 @@ def total_loss(photons, params: TlsLossParams):
     return tls_loss(photons, params) + 1.0 / params.q_hp
 
 
-@dataclass(frozen=True)
-class TlsFitResult:
+class TlsFitResult(namedtuple("TlsFitResult", [
+    "params",  # TlsLossParams
+    "f_tan_delta0_err", "n_c_err", "q_hp_err", "beta_err",
+    "residual_rms",  # RMS of the sigma-normalised loss misfit
+    "nfev",  # model evaluations of the solver
+    "q_hp_lower_limit",  # one-sided 95% lower limit, 1/(1/q_hp + 1.645 sigma(1/q_hp))
+])):
     """Power-sweep fit output with one-sigma parameter uncertainties.
 
     A floor the sweep does not resolve comes back as q_hp = q_hp_err = inf;
@@ -116,14 +126,7 @@ class TlsFitResult:
     0, n_c_err and (with a free beta) beta_err are inf.
     """
 
-    params: TlsLossParams
-    f_tan_delta0_err: float
-    n_c_err: float
-    q_hp_err: float
-    beta_err: float
-    residual_rms: float  # RMS of the sigma-normalised loss misfit
-    nfev: int  # model evaluations of the solver
-    q_hp_lower_limit: float  # one-sided 95% lower limit, 1/(1/q_hp + 1.645 sigma(1/q_hp))
+    __slots__ = ()
 
 
 def _dot(a, b) -> float:
@@ -178,16 +181,17 @@ def _nonneg_solve(design, target) -> list[float]:
     return best[1]
 
 
-@dataclass
-class LeastSquaresResult:
-    """Outcome of ``least_squares`` here and in ``s21``; plain and mutable."""
+class LeastSquaresResult(namedtuple("LeastSquaresResult", [
+    "x",  # final parameters
+    "fun",  # residuals at x
+    "jac",  # Jacobian at x, one row per residual
+    "cost",  # 0.5 * sum(fun**2)
+    "nfev",  # model evaluations
+    "success",  # a stop rule was met within _MAX_NFEV evaluations
+])):
+    """Outcome of ``least_squares`` here and in ``s21``."""
 
-    x: Sequence[float]  # final parameters
-    fun: Sequence[float]  # residuals at x
-    jac: Sequence[Sequence[float]]  # Jacobian at x, one row per residual
-    cost: float  # 0.5 * sum(fun**2)
-    nfev: int  # model evaluations
-    success: bool  # a stop rule was met within _MAX_NFEV evaluations
+    __slots__ = ()
 
 
 def least_squares(model, x0, bounds) -> LeastSquaresResult:

@@ -1049,20 +1049,24 @@ class TestImportGuard:
         return base
 
     # Each command in a fresh interpreter, with the modules it must not load.
+    # No record is a dataclass, so no command loads dataclasses, and the ones
+    # without numpy (which imports inspect itself) load no inspect either.
     @pytest.mark.parametrize("argv, absent", [
         (["extract", "--input", "table1"],
-         ["numpy", "resloss.s21", "resloss.tls", "resloss.synth", "resloss.error_analysis"]),
+         ["numpy", "inspect", "resloss.s21", "resloss.tls", "resloss.synth",
+          "resloss.error_analysis"]),
         (["error-map", "--grid", "1e-7:1e-1:11"],
-         ["numpy", "resloss.s21", "resloss.tls", "resloss.synth"]),
+         ["numpy", "inspect", "resloss.s21", "resloss.tls", "resloss.synth"]),
         # 3 curves and the grid column: a map of exactly one formatter block
         (["error-map", "--grid", f"1e-7:1e-1:{fileio._BLOCK_CELLS // 4}", "--curves",
-          "1e-6,1e-5,1e-4"], ["numpy"]),
+          "1e-6,1e-5,1e-4"], ["numpy", "inspect"]),
         (["extract", "--input", "devices.csv"],
-         ["numpy", "resloss.s21", "resloss.tls", "resloss.synth", "resloss.error_analysis"]),
+         ["numpy", "inspect", "resloss.s21", "resloss.tls", "resloss.synth",
+          "resloss.error_analysis"]),
         (["fit-tls", "--input", "s21/power_sweep.csv", "--beta", "fixed"],
-         ["numpy", "resloss.s21", "resloss.synth", "resloss.error_analysis"]),
+         ["numpy", "inspect", "resloss.s21", "resloss.synth", "resloss.error_analysis"]),
         (["fit-tls", "--input", "s21/power_sweep.csv", "--beta", "free"],
-         ["numpy", "resloss.s21", "resloss.synth", "resloss.error_analysis"]),
+         ["numpy", "inspect", "resloss.s21", "resloss.synth", "resloss.error_analysis"]),
         (["fit-s21", "--input", "fix"], ["numpy.ma", "resloss.synth", "resloss.error_analysis"]),
         (["synth", "--input", "truth.json"], []),
     ], ids=["extract", "error-map", "error-map-block", "extract-csv", "fit-tls", "fit-tls-free",
@@ -1077,8 +1081,8 @@ class TestImportGuard:
         """
         result = run_fresh(script, *argv, "--out", f"out_{argv[0]}", cwd=fixtures)
         assert result["status"] == EXIT_OK
-        loaded = [m for m in result["modules"]
-                  if any(m == name or m.startswith(name + ".") for name in absent + ["scipy"])]
+        loaded = [m for m in result["modules"] if any(
+            m == name or m.startswith(name + ".") for name in absent + ["dataclasses", "scipy"])]
         assert loaded == []
 
     def test_fileio_loads_no_numpy(self):

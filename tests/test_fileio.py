@@ -86,6 +86,8 @@ class TestSweepFiles:
     @pytest.mark.parametrize("reader, rows, match", [
         (read_sweep, "1,2,3\n4,5,6\n7,8\n", "number of columns changed from 3 to 2 at line 9;"),
         (read_sweep, "1,2,3\n4,,6\n", "could not convert string '' to float64 at line 8,"),
+        # an open quote would run on into the next line and join the two rows
+        (read_sweep, '1,2,3\n4,0.505,"0.1\n2"\n7,8,9\n', "quoted cell is left open at line 8$"),
         (read_power_sweep, "1,2,3\n\n4,5,6\n7,8\n", "columns changed from 3 to 2 at line 10;"),
         (read_power_sweep, "1,2,3\n# note\n4,5,,\n", "columns changed from 3 to 4 at line 9;"),
         (read_power_sweep, "1,2,3\n4,x,6\n", "could not convert string 'x' to float64 at line 8,"),

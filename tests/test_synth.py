@@ -124,7 +124,7 @@ class TestGenerateS21Sweep:
         sweep = generate_s21_sweep(truth, 2)
         assert sweep.power == truth.powers[2]
         assert sweep.temperature == truth.temperature
-        assert len(sweep) == truth.n_points
+        assert sweep.frequencies.size == truth.n_points
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):

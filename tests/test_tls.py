@@ -126,6 +126,15 @@ class TestLossModel:
         with pytest.raises(ValueError):
             params(q_hp=0.0)
 
+    # refused when the parameters are built, not later by thermal_factor
+    @pytest.mark.parametrize("field, value", [
+        ("omega0", math.inf), ("omega0", math.nan), ("omega0", 0.0),
+        ("temperature", math.inf), ("temperature", math.nan), ("temperature", -0.1),
+    ])
+    def test_thermal_inputs_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and > 0, got {value}$"):
+            params(**{field: value})
+
     @pytest.mark.parametrize("point", [
         (math.inf, 1e-5, 0.0), (math.nan, 1e-5, 0.0), (1.0, math.inf, 0.0),
         (1.0, math.nan, 0.0), (1.0, 1e-5, math.inf), (1.0, 1e-5, math.nan),
